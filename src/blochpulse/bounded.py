@@ -21,7 +21,6 @@ arccot(x) = pi - arccot(-x) for x < 0.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +35,7 @@ from .bloch import (
     PulseTarget,
     StepControl,
     Trajectory,
-    energy_theta_quadrature,
+    energy_theta_quadrature,  # noqa: F401 -- numeric cross-check of the closed-form energies
     integrate_feedback,
 )
 from .errors import (
@@ -75,13 +74,18 @@ __all__ = [
     "sample_geometry",
 ]
 
-logger = logging.getLogger(__name__)
-
 # Bounds at or below 1/2 stall the rotation at an equilibrium angle before
 # the transverse plane, so no quarter- or half-turn transfer is possible.
 MIN_BOUND = 0.5
 
 _HALF_PI = math.pi / 2
+
+# Largest relative miss of the final radius that ``synthesize`` accepts, and
+# the largest |log mismatch| at which a bracket end counts as the crossing.
+_RADIUS_RTOL = 1e-9
+# Lower end of the log-kappa bracket where the switching curves reach
+# kappa = 0 (m <= 1): far below the kappa of any representable target.
+_KAPPA_FLOOR = 1e-150
 
 
 def arccot(x: float) -> float:
@@ -95,6 +99,20 @@ def cot(theta: float) -> float:
     if s == 0.0:
         return math.copysign(math.inf, c)
     return c / s
+
+
+def _axis_cos(theta: float) -> float:
+    """cos(theta), exactly 0 on the quarter-turn axis (cos(pi) is exact)."""
+    return 0.0 if theta == _HALF_PI else math.cos(theta)
+
+
+def _smooth_factor(c: float, kappa: float) -> float:
+    """c + sqrt(c^2 + kappa^2), free of cancellation for c < 0.
+
+    A smooth arc's radius is proportional to this factor at c = cos(theta).
+    """
+    s = math.sqrt(c * c + kappa * kappa)
+    return c + s if c >= 0.0 else kappa * kappa / (s - c)
 
 
 def _require_bound(m: float) -> None:
@@ -112,7 +130,8 @@ def switching_angles(kappa: float, m: float) -> tuple[float, float]:
     _require_bound(m)
     if kappa < 0.0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
-    disc = kappa * kappa - m * m + 1.0
+    # kappa^2 + 1 - m^2, written so that a tiny kappa^2 survives at m = 1
+    disc = kappa * kappa + (1.0 - m) * (1.0 + m)
     if disc < 0.0:
         # tolerate rounding at the double-root boundary
         if disc > -1e-9 * max(1.0, m * m):
@@ -473,17 +492,7 @@ class PulseProgram:
 
     def radius_at(self, theta: float) -> float:
         """Angle-parameterized closed-form radius along the program."""
-        sat = self._saturated_interval()
-        if sat is None or theta <= sat[0]:
-            return unbounded.trajectory_r(theta, self.kappa)
-        r1 = unbounded.trajectory_r(sat[0], self.kappa)
-        if theta <= sat[1]:
-            return saturated_arc_radius(r1, sat[0], theta, self.m)
-        r2 = saturated_arc_radius(r1, sat[0], sat[1], self.m)
-        c = math.cos(theta)
-        c2 = math.cos(sat[1])
-        k2 = self.kappa * self.kappa
-        return r2 * (c + math.sqrt(c * c + k2)) / (c2 + math.sqrt(c2 * c2 + k2))
+        return _program_radius(self.m, self.kappa, self._saturated_interval(), theta)
 
     def simulate(
         self, step: StepControl = StepControl(), theta_start: float = THETA_START
@@ -567,111 +576,104 @@ class PulseProgram:
             _require_bound(self.m)
 
 
-def _program_energy(
-    m: float,
-    kappa: float,
-    sat: Optional[tuple[float, float]],
-    theta_tau: float,
-    rel_tol: float = 1e-11,
+def _program_radius(
+    m: float, kappa: float, sat: Optional[tuple[float, float]], theta: float
 ) -> float:
-    """Quadrature energy of a piecewise program, segment by segment."""
+    """Closed-form radius at ``theta`` of a program started on the unit pole."""
+    c = _axis_cos(theta)
+    pole = _smooth_factor(1.0, kappa)
+    if sat is None or theta <= sat[0]:
+        return _smooth_factor(c, kappa) / pole
+    r1 = _smooth_factor(_axis_cos(sat[0]), kappa) / pole
+    if theta <= sat[1]:
+        return saturated_arc_radius(r1, sat[0], theta, m)
+    r2 = saturated_arc_radius(r1, sat[0], sat[1], m)
+    return r2 * _smooth_factor(c, kappa) / _smooth_factor(_axis_cos(sat[1]), kappa)
 
-    def smooth(lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
-        return energy_theta_quadrature(
-            lambda th: unbounded.feedback_u(th, kappa),
-            lambda th: unbounded.thetadot(th, kappa),
-            lo,
-            hi,
-            rel_tol=rel_tol,
-        )
 
+def _smooth_energy(lo: float, hi: float, kappa: float) -> float:
+    # with x = cos(theta) the energy density u^2/(2 thetadot) integrates to
+    # F(x) = x (x + sqrt(x^2 + kappa^2)) / 2, taken from x(hi) up to x(lo)
+    def antiderivative(theta: float) -> float:
+        c = _axis_cos(theta)
+        return 0.5 * c * _smooth_factor(c, kappa)
+
+    return antiderivative(lo) - antiderivative(hi)
+
+
+def _program_energy(
+    m: float, kappa: float, sat: Optional[tuple[float, float]], theta_tau: float
+) -> float:
+    """Closed-form energy of a piecewise program, segment by segment.
+
+    A saturated arc costs m^2/(2 (m - sin cos)) per unit angle, whose
+    integral is m^2 times the transport exponent over sqrt(4 m^2 - 1).
+    """
     if sat is None:
-        return smooth(0.0, theta_tau)
+        return _smooth_energy(0.0, theta_tau, kappa)
     lo, hi = sat
-    saturated = energy_theta_quadrature(
-        lambda th: m,
-        lambda th: m - math.sin(th) * math.cos(th),
-        lo,
-        hi,
-        rel_tol=rel_tol,
-    )
-    return smooth(0.0, lo) + saturated + smooth(hi, theta_tau)
+    saturated = m * m * _transport_exponent(lo, hi, m) / math.sqrt(4.0 * m * m - 1.0)
+    return _smooth_energy(0.0, lo, kappa) + saturated + _smooth_energy(hi, theta_tau, kappa)
 
 
-def _sign(x: float) -> int:
-    if x > 0.0:
-        return 1
-    if x < 0.0:
-        return -1
-    return 0
+def _bracketed_root(g: Callable[[float], float], a: float, b: float) -> Optional[float]:
+    """Root of ``g`` on [a, b] by Brent's method, or None without a crossing.
 
-
-def _find_roots(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    samples: int = 2000,
-    xtol: float = 1e-12,
-) -> list[float]:
-    """Bracket every sign change of g on a uniform grid, refine by bisection."""
-    xs = np.linspace(lo, hi, samples)
-    gs = [g(float(x)) for x in xs]
-    roots: list[float] = []
-    for i in range(samples - 1):
-        ga, gb = gs[i], gs[i + 1]
-        if ga == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if math.isnan(ga) or math.isnan(gb):
-            continue
-        if _sign(ga) * _sign(gb) < 0:
-            a, b = float(xs[i]), float(xs[i + 1])
-            fa = ga
-            while b - a > xtol:
-                mid = 0.5 * (a + b)
-                fm = g(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if _sign(fa) * _sign(fm) < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if gs[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    # collapse duplicates from a root sitting on a grid node
-    deduped: list[float] = []
-    for root in roots:
-        if not deduped or abs(root - deduped[-1]) > 10.0 * xtol:
-            deduped.append(root)
-    return deduped
-
-
-def _assemble_two_switch(m: float, target: PulseTarget, theta2: float) -> PulseProgram:
-    theta1 = partner_angle(theta2, m)
-    kappa = kappa_from_switch(theta2, m, "second")
-    sat = (theta1, theta2)
-    return PulseProgram(
-        m=m,
-        target=target,
-        regime=Regime.TWO_SWITCH,
-        kappa=kappa,
-        theta1=theta1,
-        theta2=theta2,
-        energy=_program_energy(m, kappa, sat, target.theta),
-    )
+    An end where |g| <= _RADIUS_RTOL is taken as the root when g has the
+    same sign at both ends: a target exactly on a landmark radius puts the
+    crossing on a bracket end, where rounding decides the sign of g.
+    """
+    fa, fb = g(a), g(b)
+    if fa * fb > 0.0:
+        end, f_end = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        return end if abs(f_end) <= _RADIUS_RTOL else None
+    c, fc = a, fa
+    d = e = b - a
+    # Brent needs a few dozen steps at most; the cap only bounds a g gone
+    # NaN, whose result the post-condition in ``synthesize`` then rejects
+    for _ in range(200):
+        if fb * fc > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * math.ulp(max(abs(b), 1.0))
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            # inverse quadratic interpolation, or secant with two points
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = g(b)
+    return b
 
 
 def solve_two_switch(m: float, target: PulseTarget) -> PulseProgram:
-    """Locate the exit switching angle for a two-switch transfer.
+    """Locate the costate constant of a two-switch transfer.
 
-    Scans the admissible exit-angle interval for crossings between the
-    saturation-exit curve and the radius the final smooth arc requires,
-    then refines each crossing by bisection.  If several crossings appear
-    the minimum-energy assembly wins and a diagnostic is logged.
+    Both switching angles follow from kappa, so one bracketed root solve in
+    log kappa matches the closed-form final radius to the target's.  The
+    bracket runs from the curve join (kappa = sqrt(m^2 - 1), or a tiny
+    floor when the curves reach kappa = 0) to the kappa whose exit angle
+    lies on the target axis.
     """
     regime = classify(m, target)
     if regime is not Regime.TWO_SWITCH:
@@ -679,44 +681,43 @@ def solve_two_switch(m: float, target: PulseTarget) -> PulseProgram:
             f"target (r={target.r}, theta={target.label}) with m={m} is in the "
             f"{regime.value!r} regime, not 'two'"
         )
-    limits = _switch_angle_limits(m)
-    lo = limits[1] + 1e-12
-    hi = math.pi if target.is_inversion else _HALF_PI
+    lo = math.log(max(math.sqrt(max((m - 1.0) * (m + 1.0), 0.0)), _KAPPA_FLOOR))
+    hi = math.log(kappa_from_switch(target.theta, m, "second"))
+    log_r = math.log(target.r)
 
-    def mismatch(theta2: float) -> float:
-        kappa = kappa_from_switch(theta2, m, "second")
-        try:
-            needed = required_second_switch_radius(theta2, target.r, target.theta, kappa)
-        except DegenerateKappa:
-            return -math.inf
-        return second_switch_radius(theta2, m) - needed
+    def mismatch(log_kappa: float) -> float:
+        kappa = math.exp(log_kappa)
+        sat = switching_angles(kappa, m)
+        return math.log(_program_radius(m, kappa, sat, target.theta)) - log_r
 
-    roots = _find_roots(mismatch, lo, hi)
-    if not roots:
-        # a target sitting exactly on a landmark radius can push the
-        # crossing onto (or a rounding error past) an interval endpoint
-        roots = [x for x in (hi, lo) if abs(mismatch(x)) < 1e-10][:1]
-    if not roots:
+    root = _bracketed_root(mismatch, lo, hi)
+    if root is None:
         raise NoBracket(
-            f"no crossing with the exit switching curve on [{lo:.9g}, {hi:.9g}] "
+            f"no crossing with the exit switching curve for kappa in "
+            f"[{math.exp(lo):.9g}, {math.exp(hi):.9g}] "
             f"for r={target.r}, theta={target.label}, m={m}"
         )
-    programs = [_assemble_two_switch(m, target, theta2) for theta2 in roots]
-    if len(programs) > 1:
-        logger.warning(
-            "two-switch crossing is not unique (m=%g, r=%g, theta=%s): "
-            "%d crossings, keeping the minimum-energy one",
-            m,
-            target.r,
-            target.label,
-            len(programs),
-        )
-        programs.sort(key=lambda p: p.energy)
-    return programs[0]
+    kappa = math.exp(root)
+    theta1, theta2 = switching_angles(kappa, m)
+    # at the axis end of the bracket rounding can put theta2 an ulp past it
+    theta2 = min(theta2, target.theta)
+    return PulseProgram(
+        m=m,
+        target=target,
+        regime=Regime.TWO_SWITCH,
+        kappa=kappa,
+        theta1=theta1,
+        theta2=theta2,
+        energy=_program_energy(m, kappa, (theta1, theta2), target.theta),
+    )
 
 
 def solve_one_switch(m: float, r_tau: float) -> PulseProgram:
-    """Locate the entry switching angle for a one-switch quarter turn."""
+    """Locate the entry switching angle for a one-switch quarter turn.
+
+    One bracketed root solve over the entry curve matches the log of the
+    entry radius to the log of the radius the saturated arc needs.
+    """
     target = PulseTarget(r_tau, _HALF_PI)
     regime = classify(m, target)
     if regime is not Regime.ONE_SWITCH:
@@ -727,42 +728,26 @@ def solve_one_switch(m: float, r_tau: float) -> PulseProgram:
     hi = _switch_angle_limits(m)[0]
 
     def mismatch(theta1: float) -> float:
-        return first_switch_radius(theta1, m) - required_first_switch_radius(
-            theta1, r_tau, m
+        return math.log(
+            first_switch_radius(theta1, m) / required_first_switch_radius(theta1, r_tau, m)
         )
 
-    roots = _find_roots(mismatch, 1e-12, hi)
-    if not roots:
-        # boundary-of-reachability targets put the crossing at the pole end
-        roots = [x for x in (1e-12, hi) if abs(mismatch(x)) < 1e-10][:1]
-    if not roots:
+    theta1 = _bracketed_root(mismatch, 1e-12, hi)
+    if theta1 is None:
         raise NoBracket(
             f"no crossing with the entry switching curve on (0, {hi:.9g}] "
             f"for r={r_tau}, m={m}"
         )
-    if len(roots) > 1:
-        logger.warning(
-            "one-switch crossing is not unique (m=%g, r=%g): %d crossings, "
-            "keeping the minimum-energy one",
-            m,
-            r_tau,
-            len(roots),
-        )
-    best: Optional[PulseProgram] = None
-    for theta1 in roots:
-        kappa = kappa_from_switch(theta1, m, "first")
-        program = PulseProgram(
-            m=m,
-            target=target,
-            regime=Regime.ONE_SWITCH,
-            kappa=kappa,
-            theta1=theta1,
-            theta2=None,
-            energy=_program_energy(m, kappa, (theta1, _HALF_PI), _HALF_PI),
-        )
-        if best is None or program.energy < best.energy:
-            best = program
-    return best
+    kappa = kappa_from_switch(theta1, m, "first")
+    return PulseProgram(
+        m=m,
+        target=target,
+        regime=Regime.ONE_SWITCH,
+        kappa=kappa,
+        theta1=theta1,
+        theta2=None,
+        energy=_program_energy(m, kappa, (theta1, _HALF_PI), _HALF_PI),
+    )
 
 
 def synthesize(m: float, target: PulseTarget) -> PulseProgram:
@@ -770,20 +755,10 @@ def synthesize(m: float, target: PulseTarget) -> PulseProgram:
 
     ``m = math.inf`` selects the unlimited-amplitude branch.  The no-switch
     regime reuses the unlimited-amplitude costate constant, whose smooth law
-    never touches the bound there.
+    never touches the bound there.  The program's closed-form final radius
+    is checked against the target: a relative miss above 1e-9 raises
+    NoBracket instead of returning a wrong program.
     """
-    if math.isinf(m):
-        kappa = unbounded.kappa_for_target(target)
-        return PulseProgram(
-            m=math.inf,
-            target=target,
-            regime=Regime.NO_SWITCH,
-            kappa=kappa,
-            theta1=None,
-            theta2=None,
-            energy=_program_energy(math.inf, kappa, None, target.theta),
-        )
-    _require_bound(m)
     regime = classify(m, target)
     if regime is Regime.UNREACHABLE:
         lm = landmarks(m)
@@ -795,7 +770,7 @@ def synthesize(m: float, target: PulseTarget) -> PulseProgram:
         )
     if regime is Regime.NO_SWITCH:
         kappa = unbounded.kappa_for_target(target)
-        return PulseProgram(
+        program = PulseProgram(
             m=m,
             target=target,
             regime=Regime.NO_SWITCH,
@@ -804,9 +779,17 @@ def synthesize(m: float, target: PulseTarget) -> PulseProgram:
             theta2=None,
             energy=_program_energy(m, kappa, None, target.theta),
         )
-    if regime is Regime.TWO_SWITCH:
-        return solve_two_switch(m, target)
-    return solve_one_switch(m, target.r)
+    elif regime is Regime.TWO_SWITCH:
+        program = solve_two_switch(m, target)
+    else:
+        program = solve_one_switch(m, target.r)
+    miss = program.radius_at(target.theta) / target.r - 1.0
+    if not abs(miss) <= _RADIUS_RTOL:
+        raise NoBracket(
+            f"program misses the final radius by {miss:.3g} relative "
+            f"for r={target.r}, theta={target.label}, m={m}"
+        )
+    return program
 
 
 @dataclass(frozen=True)

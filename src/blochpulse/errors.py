@@ -46,7 +46,8 @@ class DegenerateKappa(BlochControlError):
 
 
 class NoBracket(BlochControlError):
-    """No sign change was found when scanning for a switching-point crossing."""
+    """No switching-point crossing was bracketed, or the synthesized program
+    misses its target radius beyond the stated tolerance."""
 
 
 class Unreachable(BlochControlError):

@@ -72,7 +72,12 @@ class _Rollout:
 
     Keeps the states and running minimum target distance at every segment
     boundary so that re-evaluating a candidate that changes segment i only
-    costs the tail i..n-1.
+    costs the tail i..n-1.  The radius never grows, so a probe stops at the
+    first boundary whose radius is already below the target's by more than
+    the running minimum distance: no later point can come closer, and the
+    returned miss is the one the full tail would give.  States past the
+    boundaries a committed probe reached are marched lazily, when a later
+    probe starts there.
     """
 
     def __init__(
@@ -90,16 +95,24 @@ class _Rollout:
         self.start_theta = start_theta
         self.z_t = target_radius * math.cos(target_theta)
         self.y_t = target_radius * math.sin(target_theta)
+        # rounding of the rolled-out points is far below this relative slack
+        self.settle_radius = math.hypot(self.z_t, self.y_t)
+        self.settle_slack = 1e-9 * self.settle_radius
         self.theta = [0.0] * (n_segments + 1)
         self.log_r = [0.0] * (n_segments + 1)
         self.min_dist = [0.0] * (n_segments + 1)
+        self.valid = 0  # boundaries 0..valid hold the committed controls' states
 
-    def _advance(self, controls, first: int, replace_value: Optional[float]):
-        """March segments first..n-1; returns (err, tail states).
+    def _advance(
+        self, controls, first: int, replace_value: Optional[float], end: int, settle: bool
+    ):
+        """March segments first..end-1; returns (err, tail states).
 
         The target miss is the minimum distance from the target point to
         the polyline through the sub-step states, so a fast crossing of
-        the target neighbourhood is not penalized by sample spacing.
+        the target neighbourhood is not penalized by sample spacing.  With
+        ``settle`` the march ends early at a boundary past which the miss
+        cannot change; the tail then covers only the boundaries reached.
         """
         sin, cos, exp, hypot = math.sin, math.cos, math.exp, math.hypot
         dt = self.dt
@@ -109,6 +122,7 @@ class _Rollout:
         aa = self.log_r[first]
         best = self.min_dist[first]
         z_t, y_t = self.z_t, self.y_t
+        settle_radius, settle_slack = self.settle_radius, self.settle_slack
         r = exp(aa)
         z0 = r * cos(th)
         y0 = r * sin(th)
@@ -116,7 +130,9 @@ class _Rollout:
         tail_theta = []
         tail_log_r = []
         tail_min = []
-        for k in range(first, self.n):
+        for k in range(first, end):
+            if settle and settle_radius - r > best + settle_slack:
+                break
             u = replace_value if (k == first and replace_value is not None) else controls[k]
             for _ in range(self.n_sub):
                 s = sin(th)
@@ -168,17 +184,27 @@ class _Rollout:
             r * math.cos(self.theta[0]) - self.z_t,
             r * math.sin(self.theta[0]) - self.y_t,
         )
-        err, t_th, t_a, t_m = self._advance(controls, 0, None)
+        err, t_th, t_a, t_m = self._advance(controls, 0, None, self.n, False)
         self._commit(0, t_th, t_a, t_m)
         return err
 
     def probe(self, controls, index: int, value: float):
-        return self._advance(controls, index, value)
+        """Miss and tail states with segment ``index`` set to ``value``.
+
+        ``controls`` must hold the committed controls: states a settled
+        commit left unmarched up to ``index`` are marched from them first.
+        """
+        if self.valid < index:
+            _, t_th, t_a, t_m = self._advance(controls, self.valid, None, index, False)
+            self._commit(self.valid, t_th, t_a, t_m)
+        return self._advance(controls, index, value, self.n, True)
 
     def _commit(self, first: int, tail_theta, tail_log_r, tail_min) -> None:
-        self.theta[first + 1 :] = tail_theta
-        self.log_r[first + 1 :] = tail_log_r
-        self.min_dist[first + 1 :] = tail_min
+        stop = first + 1 + len(tail_theta)
+        self.theta[first + 1 : stop] = tail_theta
+        self.log_r[first + 1 : stop] = tail_log_r
+        self.min_dist[first + 1 : stop] = tail_min
+        self.valid = stop - 1
 
     def commit(self, first: int, tail) -> None:
         _, t_th, t_a, t_m = tail

@@ -34,6 +34,30 @@ class TestRollout:
             b <= a for a, b in zip(rollout.min_dist, rollout.min_dist[1:])
         )
 
+    def test_settled_probe_matches_full_rollout(self):
+        # the trajectory passes the target early and then decays inside its
+        # radius, so probes stop short; their miss and the states marched
+        # lazily after each commit must equal those of a full rollout
+        controls = [1.5] * 20 + [0.0] * 40
+        rollout = _Rollout(60, 0.1, 4, THETA_START, QUARTER, 0.6)
+        full = _Rollout(60, 0.1, 4, THETA_START, QUARTER, 0.6)
+        rollout.reset(controls)
+        stopped = 0
+        for index, value in ((5, 1.35), (12, 1.6), (30, 0.2), (59, 0.1)):
+            tail = rollout.probe(controls, index, value)
+            stopped += len(tail[1]) < 60 - index
+            changed = list(controls)
+            changed[index] = value
+            assert tail[0] == full.reset(changed)
+            rollout.commit(index, tail)
+            controls[index] = value
+        assert stopped == 4
+        assert rollout.valid < 60
+        rollout.probe(controls, 60, 0.0)
+        assert rollout.theta == full.theta
+        assert rollout.log_r == full.log_r
+        assert rollout.min_dist == full.min_dist
+
 
 class TestTranscriptionSearch:
     def test_small_search_converges(self, example2):
