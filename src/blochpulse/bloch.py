@@ -65,6 +65,10 @@ POLE_AZIMUTH = math.pi / 2
 
 _HALF_PI = math.pi / 2
 
+# Trajectory CSV rows: seven 12-significant-digit fields, written in blocks.
+_CSV_ROW = ",".join(["%.12g"] * 7) + "\n"
+_CSV_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class CartesianState:
@@ -264,7 +268,9 @@ def integrate_feedback(
     Classical fixed-step 4th-order integration of (theta, a, energy).  The
     run terminates on the event theta >= theta_stop - eps_stop; the final
     step is shortened by bisection so the last sample lands on the event
-    angle instead of overshooting it.
+    angle instead of overshooting it.  The control recorded at a sample is
+    the step's first stage (k1), so the law is evaluated four times per
+    step; ``lambda_theta`` and ``hamiltonian`` are filled after the loop.
 
     Raises StallDetected if the closed-loop angle rate is non-positive at
     any recorded sample before the stop angle, and StepTooLarge if time
@@ -280,12 +286,9 @@ def integrate_feedback(
     goal = theta_stop - step.eps_stop
     sin, cos = math.sin, math.cos
 
-    def advance(th: float, aa: float, en: float, h: float) -> tuple[float, float, float]:
-        # one 4th-order step of (theta, a, energy)
-        u1 = u_of_theta(th)
-        s1 = sin(th)
-        k1t, k1a, k1e = u1 - s1 * cos(th), -s1 * s1, 0.5 * u1 * u1
-
+    def advance(th: float, aa: float, en: float, h: float, k1: tuple) -> tuple[float, float, float]:
+        # one 4th-order step of (theta, a, energy) from its first stage k1
+        k1t, k1a, k1e = k1
         th2 = th + 0.5 * h * k1t
         u2 = u_of_theta(th2)
         s2 = sin(th2)
@@ -308,52 +311,46 @@ def integrate_feedback(
             en + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e),
         )
 
-    ts, thetas, avals, us, lams, hams, ens = [], [], [], [], [], [], []
+    ts, thetas, avals, us, ens = [], [], [], [], []
 
+    h = step.h
     t, th, aa, en = 0.0, start.theta, start.a, 0.0
-    nan = math.nan
     for _ in range(step.max_steps):
         u = u_of_theta(th)
-        lam = costate(th) if costate is not None else nan
-        ham = (
-            control_hamiltonian(u, th, lam, lambda_a)
-            if costate is not None and lambda_a is not None
-            else nan
-        )
         ts.append(t)
         thetas.append(th)
         avals.append(aa)
         us.append(u)
-        lams.append(lam)
-        hams.append(ham)
         ens.append(en)
 
         if th >= goal:
             break
-        if u - sin(th) * cos(th) <= 0.0:
+        s = sin(th)
+        k1 = u - s * cos(th), -s * s, 0.5 * u * u
+        if k1[0] <= 0.0:
             raise StallDetected(
                 f"closed-loop angle rate is non-positive at theta={th:.9g}"
             )
 
-        th_next, a_next, e_next = advance(th, aa, en, step.h)
-        h_used = step.h
+        th_next, a_next, e_next = advance(th, aa, en, h, k1)
+        h_used = h
         if th_next >= goal:
             # shrink the final step until it lands on the event angle
-            lo, hi = 0.0, step.h
+            lo, hi = 0.0, h
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                th_mid, _, _ = advance(th, aa, en, mid)
+                th_mid, _, _ = advance(th, aa, en, mid, k1)
                 if th_mid >= goal:
                     hi = mid
                 else:
                     lo = mid
-                if hi - lo <= 1e-18 * step.h:
+                if hi - lo <= 1e-18 * h:
                     break
             h_used = hi
-            th_next, a_next, e_next = advance(th, aa, en, h_used)
+            th_next, a_next, e_next = advance(th, aa, en, h_used, k1)
         elif th_next <= th:
             raise StepTooLarge(
-                f"angle failed to advance at theta={th:.9g} with step {step.h}"
+                f"angle failed to advance at theta={th:.9g} with step {h}"
             )
         t += h_used
         th, aa, en = th_next, a_next, e_next
@@ -362,6 +359,14 @@ def integrate_feedback(
             f"exceeded {step.max_steps} steps before reaching theta={theta_stop}"
         )
 
+    nans = [math.nan] * len(ts)
+    lams = nans if costate is None else [costate(th) for th in thetas]
+    hams = nans
+    if costate is not None and lambda_a is not None:
+        hams = [
+            control_hamiltonian(u, th, lam, lambda_a)
+            for u, th, lam in zip(us, thetas, lams)
+        ]
     return Trajectory(
         t=np.asarray(ts),
         theta=np.asarray(thetas),
@@ -473,21 +478,16 @@ def energy_theta_quadrature(
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write samples as CSV with 12-significant-digit floats.
 
-    Columns: t,theta,a,r,u,lambda_theta,hamiltonian.
+    Columns: t,theta,a,r,u,lambda_theta,hamiltonian.  Rows are formatted
+    a block at a time with one ``%`` operation, which formats each float
+    exactly as ``format(x, ".12g")`` does.
     """
-    r = trajectory.r
+    rows = np.column_stack((
+        trajectory.t, trajectory.theta, trajectory.a, trajectory.r,
+        trajectory.u, trajectory.lambda_theta, trajectory.hamiltonian,
+    ))
     with open(path, "w", newline="") as handle:
         handle.write("t,theta,a,r,u,lambda_theta,hamiltonian\n")
-        for i in range(len(trajectory)):
-            handle.write(
-                "%s,%s,%s,%s,%s,%s,%s\n"
-                % (
-                    format(trajectory.t[i], ".12g"),
-                    format(trajectory.theta[i], ".12g"),
-                    format(trajectory.a[i], ".12g"),
-                    format(r[i], ".12g"),
-                    format(trajectory.u[i], ".12g"),
-                    format(trajectory.lambda_theta[i], ".12g"),
-                    format(trajectory.hamiltonian[i], ".12g"),
-                )
-            )
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            handle.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -468,23 +469,40 @@ class PulseProgram:
             pieces.append(Segment("smooth", hi, self.target.theta))
         return tuple(pieces)
 
+    @cached_property
+    def _law(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        """The feedback law compiled once into plain (control, costate)
+        closures over (kappa^2, m, theta1, theta2); kappa is checked here."""
+        unbounded._check_kappa(self.kappa)
+        k2, m = self.kappa * self.kappa, self.m
+        lo, hi = self._saturated_interval() or (math.inf, -math.inf)
+        sin, cos, sqrt = math.sin, math.cos, math.sqrt
+
+        def control(theta: float) -> float:
+            if lo <= theta <= hi:
+                return m
+            c = cos(theta)
+            return sin(theta) * (c + sqrt(c * c + k2))
+
+        def costate(theta: float) -> float:
+            if lo <= theta <= hi:
+                s = sin(theta)
+                return (m * m + k2 * s * s) / (2.0 * (m - s * cos(theta)))
+            return control(theta)
+
+        return control, costate
+
+    def __getstate__(self) -> dict:
+        # the compiled law's closures do not pickle; it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_law"}
+
     def control(self, theta: float) -> float:
-        sat = self._saturated_interval()
-        if sat is not None and sat[0] <= theta <= sat[1]:
-            return self.m
-        return unbounded.feedback_u(theta, self.kappa)
+        return self._law[0](theta)
 
     def costate(self, theta: float) -> float:
         """Angle costate along the program; equals the control on smooth
         arcs and exceeds the bound strictly inside the saturated arc."""
-        sat = self._saturated_interval()
-        if sat is not None and sat[0] <= theta <= sat[1]:
-            s = math.sin(theta)
-            k2 = self.kappa * self.kappa
-            return (self.m * self.m + k2 * s * s) / (
-                2.0 * (self.m - s * math.cos(theta))
-            )
-        return unbounded.feedback_u(theta, self.kappa)
+        return self._law[1](theta)
 
     def thetadot(self, theta: float) -> float:
         s = math.sin(theta)
@@ -498,12 +516,13 @@ class PulseProgram:
         self, step: StepControl = StepControl(), theta_start: float = THETA_START
     ) -> Trajectory:
         """Closed-loop run of the program from just off the unit pole."""
+        control, costate = self._law
         return integrate_feedback(
-            self.control,
+            control,
             PolarState(a=0.0, theta=theta_start),
             self.target.theta,
             step=step,
-            costate=self.costate,
+            costate=costate,
             lambda_a=self.lambda_a,
         )
 

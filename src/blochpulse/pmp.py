@@ -116,8 +116,8 @@ def check_adjoint(
 ) -> AdjointCheck:
     """Finite-difference residual of the costate rate equation.
 
-    Simulates the program (or reuses a supplied trajectory at the same
-    step), differentiates lambda_theta(t) centrally and compares with
+    Differentiates lambda_theta(t) centrally, taken from a run of the program
+    or from ``costate`` along a supplied trajectory (at its step), and compares with
     lambda_theta cos(2 theta) + lambda_a sin(2 theta).  Samples within
     ``exclusion_steps`` grid steps of a switching angle are skipped, since
     the costate's curvature jumps with the control there; the shortened
@@ -125,10 +125,11 @@ def check_adjoint(
     """
     if trajectory is None:
         trajectory = program.simulate(StepControl(h=step))
+        lam = trajectory.lambda_theta
     else:
         step = float(trajectory.t[1] - trajectory.t[0])
+        lam = np.array([program.costate(t) for t in trajectory.theta.tolist()])
     theta = trajectory.theta
-    lam = np.array([program.costate(float(t)) for t in theta])
     lam_a = program.lambda_a
 
     fd = (lam[2:] - lam[:-2]) / (2.0 * step)
