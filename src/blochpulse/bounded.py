@@ -12,7 +12,8 @@ first (entry) curve lies on the pre-switch smooth arcs, and the second
 (exit) curve is its image under the saturated-arc transport.  Synthesis for
 a given bound and final point reduces to classifying the final point
 against a handful of landmark radii and then locating the switching point
-where a required-radius curve crosses the matching switching curve.
+where a required-radius curve crosses the matching switching curve.  The
+saturated arc's closed forms live here, the smooth arc's in ``unbounded``.
 
 Everything here works in the arccot convention with range [0, pi], so
 arccot(x) = pi - arccot(-x) for x < 0.
@@ -36,7 +37,7 @@ from .bloch import (
     PulseTarget,
     StepControl,
     Trajectory,
-    energy_theta_quadrature,  # noqa: F401 -- numeric cross-check of the closed-form energies
+    energy_theta_quadrature,  # noqa: F401 -- not called; blochbench's tracer patches it here
     integrate_feedback,
 )
 from .errors import (
@@ -47,6 +48,7 @@ from .errors import (
     NoRealSwitch,
     Unreachable,
 )
+from .unbounded import _HALF_PI, _axis_cos, _smooth_energy, _smooth_factor
 
 __all__ = [
     "MIN_BOUND",
@@ -79,8 +81,6 @@ __all__ = [
 # the transverse plane, so no quarter- or half-turn transfer is possible.
 MIN_BOUND = 0.5
 
-_HALF_PI = math.pi / 2
-
 # Largest relative miss of the final radius that ``synthesize`` accepts, and
 # the largest |log mismatch| at which a bracket end counts as the crossing.
 _RADIUS_RTOL = 1e-9
@@ -100,20 +100,6 @@ def cot(theta: float) -> float:
     if s == 0.0:
         return math.copysign(math.inf, c)
     return c / s
-
-
-def _axis_cos(theta: float) -> float:
-    """cos(theta), exactly 0 on the quarter-turn axis (cos(pi) is exact)."""
-    return 0.0 if theta == _HALF_PI else math.cos(theta)
-
-
-def _smooth_factor(c: float, kappa: float) -> float:
-    """c + sqrt(c^2 + kappa^2), free of cancellation for c < 0.
-
-    A smooth arc's radius is proportional to this factor at c = cos(theta).
-    """
-    s = math.sqrt(c * c + kappa * kappa)
-    return c + s if c >= 0.0 else kappa * kappa / (s - c)
 
 
 def _require_bound(m: float) -> None:
@@ -254,15 +240,14 @@ def max_no_switch_radius(theta: float, m: float) -> float:
     """Largest radius at ``theta`` reachable by a smooth arc alone.
 
     For m >= 1 this is the smooth trajectory at the largest costate
-    constant that never saturates (kappa = sqrt(m^2 - 1)).  For
+    constant that never saturates, kappa = sqrt((m - 1)(m + 1)).  For
     1/2 < m < 1 every transfer saturates; the analogue is the straight
     post-exit chord of the kappa = 0 trajectory, which meets theta = pi/2
     at the origin.
     """
     _require_bound(m)
     if m >= 1.0:
-        c = math.cos(theta)
-        return (c + math.sqrt(c * c + m * m - 1.0)) / (m + 1.0)
+        return unbounded.trajectory_r(theta, math.sqrt((m - 1.0) * (m + 1.0)))
     lm = landmarks(m)
     return lm.r_b2 * math.cos(theta) / math.cos(lm.theta_b2)
 
@@ -396,13 +381,11 @@ def required_second_switch_radius(
         raise DegenerateKappa(
             f"post-switch arc is singular for kappa={kappa:.9g}"
         )
-    c = math.cos(theta2)
-    numerator = c + math.sqrt(c * c + kappa * kappa)
-    if theta_tau == math.pi:
-        return r_tau * numerator / (math.sqrt(1.0 + kappa * kappa) - 1.0)
-    if theta_tau == _HALF_PI:
-        return r_tau * numerator / kappa
-    raise ValueError(f"final angle must be pi/2 or pi, got {theta_tau}")
+    if theta_tau not in (_HALF_PI, math.pi):
+        raise ValueError(f"final angle must be pi/2 or pi, got {theta_tau}")
+    return r_tau * _smooth_factor(_axis_cos(theta2), kappa) / _smooth_factor(
+        _axis_cos(theta_tau), kappa
+    )
 
 
 def required_first_switch_radius(theta1: float, r_tau: float, m: float) -> float:
@@ -608,16 +591,6 @@ def _program_radius(
         return saturated_arc_radius(r1, sat[0], theta, m)
     r2 = saturated_arc_radius(r1, sat[0], sat[1], m)
     return r2 * _smooth_factor(c, kappa) / _smooth_factor(_axis_cos(sat[1]), kappa)
-
-
-def _smooth_energy(lo: float, hi: float, kappa: float) -> float:
-    # with x = cos(theta) the energy density u^2/(2 thetadot) integrates to
-    # F(x) = x (x + sqrt(x^2 + kappa^2)) / 2, taken from x(hi) up to x(lo)
-    def antiderivative(theta: float) -> float:
-        c = _axis_cos(theta)
-        return 0.5 * c * _smooth_factor(c, kappa)
-
-    return antiderivative(lo) - antiderivative(hi)
 
 
 def _program_energy(

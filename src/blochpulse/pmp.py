@@ -8,16 +8,17 @@ Three independent signals certify a synthesized pulse:
   = lambda_theta cos(2 theta) + lambda_a sin(2 theta), checked by central
   finite differences along the integrated trajectory;
 * strictly inside a saturated arc the costate must exceed the bound, which
-  is what makes the clipped control the pointwise maximizer.
+  is what makes the clipped control the pointwise maximizer; its margin is
+  closed-form, so the arc's two ends decide its sign.
 
 The checks accept any object exposing ``control(theta)``,
 ``costate(theta)``, ``lambda_a`` and ``theta_domain`` - in particular a
-``PulseProgram``.
+``PulseProgram`` - and read ``segments`` and ``m`` when present.  Per-arc
+closed forms live in ``unbounded`` (smooth) and ``bounded`` (saturated).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -158,21 +159,19 @@ def _switch_angles(program) -> list[float]:
     return angles
 
 
-def saturation_excess(program, grid_points: int = 1_000) -> Optional[float]:
-    """Smallest costate margin over the bound strictly inside saturation.
+def saturation_excess(program) -> Optional[float]:
+    """Smaller costate margin over the bound at the saturated arc's ends,
+    each inset by 1e-6 of the arc, or None without a saturated arc.
 
-    Returns None when the program has no saturated arc; a positive value
-    certifies that clipping to the bound is the pointwise maximizer there.
+    The margin is -m^2 sin^2(theta) Q(cot theta) / (2 (m - sin cos)), with
+    Q the saturation quadratic, so a positive value holds on the whole arc.
     """
-    sat = program._saturated_interval() if hasattr(program, "_saturated_interval") else None
-    if sat is None:
-        return None
-    lo, hi = sat
-    inset = (hi - lo) * 1e-6
-    margin = math.inf
-    for theta in np.linspace(lo + inset, hi - inset, grid_points):
-        margin = min(margin, program.costate(float(theta)) - program.m)
-    return margin
+    for seg in getattr(program, "segments", ()):
+        if seg.kind == "saturated":
+            inset = (seg.theta_hi - seg.theta_lo) * 1e-6
+            ends = program.costate(seg.theta_lo + inset), program.costate(seg.theta_hi - inset)
+            return min(ends) - program.m
+    return None
 
 
 @dataclass(frozen=True)

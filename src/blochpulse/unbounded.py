@@ -7,7 +7,8 @@ The stationarity conditions give a one-parameter family of feedback laws
 indexed by the non-negative constant kappa (the log-radius costate equals
 kappa^2/2).  Along the closed loop the angle rate and the traced radius
 have closed forms, so the single unknown kappa follows directly from the
-requested final point, as does the pulse energy.
+requested final point, as does the pulse energy.  These smooth-arc closed
+forms (``_smooth_factor``, ``_smooth_energy``) serve bounded programs too.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "closed_energy",
     "UnboundedSolution",
 ]
+
+_HALF_PI = math.pi / 2
 
 
 def kappa_for_target(target: PulseTarget) -> float:
@@ -57,11 +60,10 @@ def trajectory_r(theta: float, kappa: float) -> float:
     """Radius traced from the unit pole, as a function of the angle.
 
     r(theta) = (cos(theta) + sqrt(cos^2(theta) + kappa^2)) / (1 + sqrt(1 + kappa^2));
-    equals 1 at theta = 0 and decreases strictly for kappa > 0.
+    equals 1 at theta = 0, decreases strictly for kappa > 0; cos(pi/2) is 0.
     """
     _check_kappa(kappa)
-    c = math.cos(theta)
-    return (c + math.sqrt(c * c + kappa * kappa)) / (1.0 + math.sqrt(1.0 + kappa * kappa))
+    return _smooth_factor(_axis_cos(theta), kappa) / _smooth_factor(1.0, kappa)
 
 
 def closed_energy(target: PulseTarget) -> float:
@@ -72,6 +74,30 @@ def closed_energy(target: PulseTarget) -> float:
     if target.is_inversion:
         return (1.0 + r) / (1.0 - r)
     return 1.0 / (1.0 - r * r)
+
+
+def _axis_cos(theta: float) -> float:
+    """cos(theta), exactly 0 on the quarter-turn axis (cos(pi) is exact)."""
+    return 0.0 if theta == _HALF_PI else math.cos(theta)
+
+
+def _smooth_factor(c: float, kappa: float) -> float:
+    """c + sqrt(c^2 + kappa^2), free of cancellation for c < 0.
+
+    A smooth arc's radius is proportional to this factor at c = cos(theta).
+    """
+    s = math.sqrt(c * c + kappa * kappa)
+    return c + s if c >= 0.0 else kappa * kappa / (s - c)
+
+
+def _smooth_energy(lo: float, hi: float, kappa: float) -> float:
+    # with x = cos(theta) the energy density u^2/(2 thetadot) integrates to
+    # F(x) = x (x + sqrt(x^2 + kappa^2)) / 2, taken from x(hi) up to x(lo)
+    def antiderivative(theta: float) -> float:
+        c = _axis_cos(theta)
+        return 0.5 * c * _smooth_factor(c, kappa)
+
+    return antiderivative(lo) - antiderivative(hi)
 
 
 def _check_kappa(kappa: float) -> None:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import pytest
@@ -42,3 +43,30 @@ def example2_trajectory(example2):
 @pytest.fixture(scope="session")
 def example3_trajectory(example3):
     return example3.simulate()
+
+
+@pytest.fixture(scope="session")
+def decimal_cos():
+    """cos of a double as a 60-digit Decimal, by its Taylor series.
+
+    The doubles nearest pi/2 and pi are the axes, where the package takes
+    the cosine as exactly 0 and -1.
+    """
+
+    def cos(theta):
+        if theta == math.pi / 2:
+            return decimal.Decimal(0)
+        if theta == math.pi:
+            return decimal.Decimal(-1)
+        with decimal.localcontext(decimal.Context(prec=80)):
+            x2 = decimal.Decimal(theta) ** 2
+            term = total = decimal.Decimal(1)
+            n = 0
+            while abs(term) > decimal.Decimal("1e-80"):
+                n += 2
+                term *= -x2 / (n * (n - 1))
+                total += term
+        with decimal.localcontext(decimal.Context(prec=60)):
+            return +total
+
+    return cos

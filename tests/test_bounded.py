@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -304,6 +305,20 @@ class TestRequiredRadii:
         )
         assert value == pytest.approx(0.59, abs=1e-6)
 
+    @pytest.mark.parametrize("theta2, theta_tau", [(3.0, math.pi), (2.0, math.pi / 2)])
+    @pytest.mark.parametrize("kappa", [1e-3, 1e-5, 1e-7])
+    def test_exit_radius_matches_decimal_reference(self, kappa, theta2, theta_tau, decimal_cos):
+        with decimal.localcontext(decimal.Context(prec=60)):
+            k2 = decimal.Decimal(kappa) ** 2
+
+            def factor(theta):
+                c = decimal_cos(theta)
+                return c + (c * c + k2).sqrt()
+
+            expected = decimal.Decimal(0.39) * factor(theta2) / factor(theta_tau)
+        value = required_second_switch_radius(theta2, 0.39, theta_tau, kappa)
+        assert value == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+
     def test_degenerate_kappa(self):
         with pytest.raises(DegenerateKappa):
             required_second_switch_radius(2.0, 0.39, math.pi, 0.0)
@@ -359,6 +374,18 @@ class TestGeometry:
         assert max_no_switch_radius(math.pi / 2, 2.0) == pytest.approx(
             math.sqrt(3.0) / 3.0
         )
+
+    @pytest.mark.parametrize("theta", [2.0, 2.5, 3.0, math.pi])
+    @pytest.mark.parametrize("m", [1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 2.0])
+    def test_max_no_switch_matches_decimal_reference(self, m, theta, decimal_cos):
+        with decimal.localcontext(decimal.Context(prec=60)):
+            c, dm = decimal_cos(theta), decimal.Decimal(m)
+            expected = (c + (c * c + dm * dm - 1).sqrt()) / (dm + 1)
+        assert max_no_switch_radius(theta, m) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+        if theta == math.pi:
+            assert max_no_switch_radius(theta, m) == pytest.approx(
+                landmarks(m).r_c2, rel=1e-13, abs=0.0
+            )
 
     def test_csv_format(self, tmp_path):
         geo = sample_geometry(2.0, samples=10)

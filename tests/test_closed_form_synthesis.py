@@ -22,6 +22,7 @@ from blochpulse.bounded import (
     synthesize,
 )
 from blochpulse.errors import NoBracket, Unreachable
+from blochpulse.pmp import saturation_excess
 
 QUARTER = math.pi / 2
 AXES = (QUARTER, math.pi)
@@ -120,6 +121,30 @@ def test_seeded_sweep_hits_every_reachable_target():
         assert program.regime is classify(m, target)
         assert reference_miss(program) <= RADIUS_RTOL, (m, r, theta)
     assert regimes == {Regime.NO_SWITCH, Regime.ONE_SWITCH, Regime.TWO_SWITCH}
+
+
+def _scanned_excess(program):
+    """Smallest costate margin over 1,000 points of the inset saturated arc."""
+    (arc,) = [seg for seg in program.segments if seg.kind == "saturated"]
+    inset = (arc.theta_hi - arc.theta_lo) * 1e-6
+    thetas = np.linspace(arc.theta_lo + inset, arc.theta_hi - inset, 1_000)
+    return min(program.costate(float(theta)) - program.m for theta in thetas)
+
+
+def test_saturation_excess_equals_scan_on_seeded_sweep():
+    # the closed-form margin's sign is decided at the arc's ends, and there
+    # its value is the scan's minimum, bit for bit
+    saturated = 0
+    for m, r, theta in _sweep_targets():
+        if r > _limit(m, theta):
+            continue
+        program = synthesize(m, PulseTarget(r, theta))
+        if program.regime is Regime.NO_SWITCH:
+            assert saturation_excess(program) is None
+            continue
+        saturated += 1
+        assert saturation_excess(program) == _scanned_excess(program), (m, r, theta)
+    assert saturated >= 250
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from blochpulse.bloch import PulseTarget
-from blochpulse.bounded import synthesize
+from blochpulse.bounded import switching_angles, synthesize
 from blochpulse.pmp import (
     check_adjoint,
     check_hamiltonian,
@@ -146,6 +146,13 @@ class TestSaturationExcess:
 
     def test_absent_without_saturation(self, unbounded_quarter):
         assert saturation_excess(unbounded_quarter) is None
+
+    def test_negative_when_arc_starts_outside_the_roots(self, example1):
+        # saturating before the first root of the quadratic for this kappa
+        program = replace(example1, theta1=example1.theta1 - 0.2)
+        assert program.theta1 < switching_angles(program.kappa, program.m)[0]
+        assert saturation_excess(program) < 0.0
+        assert not verify_program(program, step=1e-3).lambda_excess_ok
 
 
 class TestVerificationReport:

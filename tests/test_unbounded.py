@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -102,6 +103,15 @@ class TestTrajectoryRadius:
         assert trajectory_r(math.pi, kappa) == pytest.approx(0.6, rel=1e-12)
         kappa = kappa_for_target(PulseTarget(0.37, QUARTER))
         assert trajectory_r(QUARTER, kappa) == pytest.approx(0.37, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [2.5, 3.0, QUARTER])
+    @pytest.mark.parametrize("kappa", [1e-3, 1e-6, 1e-9])
+    def test_matches_decimal_reference(self, kappa, theta, decimal_cos):
+        # past pi/2 the factor c + sqrt(c^2 + kappa^2) cancels to ~kappa^2/(2|c|)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            c, k2 = decimal_cos(theta), decimal.Decimal(kappa) ** 2
+            expected = (c + (c * c + k2).sqrt()) / (1 + (1 + k2).sqrt())
+        assert trajectory_r(theta, kappa) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kappa", [0.3, 1.875, 10.0])
     def test_strictly_decreasing_for_positive_kappa(self, kappa):
