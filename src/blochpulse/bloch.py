@@ -21,6 +21,7 @@ angle-domain energy quadrature E = integral of u^2 / (2 thetadot) dtheta.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -65,9 +66,36 @@ POLE_AZIMUTH = math.pi / 2
 
 _HALF_PI = math.pi / 2
 
-# Trajectory CSV rows: seven 12-significant-digit fields, written in blocks.
-_CSV_ROW = ",".join(["%.12g"] * 7) + "\n"
+# Every number the package writes, in CSV, JSON or text, has 12 significant
+# digits: CSV rows repeat _NUMBER, everything else goes through _num.
+_NUMBER = "%.12g"
+# Trajectory CSV rows: seven fields, written in blocks.
+_CSV_ROW = ",".join([_NUMBER] * 7) + "\n"
 _CSV_BLOCK_ROWS = 4096
+
+
+def _num(x: Optional[float]) -> str:
+    """One number as the outputs write it: 12 significant digits, null for None or +-inf."""
+    if x is None or math.isinf(x):
+        return "null"
+    return _NUMBER % x
+
+
+def _json(value) -> str:
+    """One JSON value on one line, dicts in their own key order.
+
+    Floats go through ``_num``, so 2.0 is written ``2``, as ``json.dumps``
+    would not; ints, bools and strings are written as JSON writes them.
+    """
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(
+            "%s: %s" % (json.dumps(key), _json(item)) for key, item in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ", ".join(map(_json, value))
+    if isinstance(value, (bool, int, str)):
+        return json.dumps(value)
+    return _num(value)
 
 
 @dataclass(frozen=True)
@@ -280,8 +308,8 @@ def integrate_feedback(
         raise ValueError(
             f"theta_stop ({theta_stop}) must exceed the start angle ({start.theta})"
         )
-    if step.h <= 0.0:
-        raise StepTooLarge(f"step must be positive, got {step.h}")
+    if not 0.0 < step.h < math.inf:
+        raise StepTooLarge(f"step must be finite and positive, got {step.h}")
 
     goal = theta_stop - step.eps_stop
     sin, cos = math.sin, math.cos
@@ -479,8 +507,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write samples as CSV with 12-significant-digit floats.
 
     Columns: t,theta,a,r,u,lambda_theta,hamiltonian.  Rows are formatted
-    a block at a time with one ``%`` operation, which formats each float
-    exactly as ``format(x, ".12g")`` does.
+    a block at a time with one ``%`` operation.
     """
     rows = np.column_stack((
         trajectory.t, trajectory.theta, trajectory.a, trajectory.r,

@@ -37,6 +37,8 @@ from .bloch import (
     PulseTarget,
     StepControl,
     Trajectory,
+    _json,
+    _NUMBER,
     energy_theta_quadrature,  # noqa: F401 -- not called; blochbench's tracer patches it here
     integrate_feedback,
 )
@@ -298,6 +300,8 @@ class Landmarks:
 def landmarks(m: float) -> Landmarks:
     """All applicable landmark radii and angles for the bound ``m``."""
     _require_bound(m)
+    if math.isinf(m):
+        raise ValueError(f"landmarks need a finite control bound, got m={m}")
     w = math.sqrt(4.0 * m * m - 1.0)
     r_c1 = math.exp(-math.pi / w)
     r_d1 = math.exp(-(math.pi - arccot(1.0 / w)) / w)
@@ -510,25 +514,15 @@ class PulseProgram:
         )
 
     def to_json(self) -> str:
-        def num(x: Optional[float]) -> str:
-            if x is None or math.isinf(x):
-                return "null"
-            return format(x, ".12g")
-
-        return (
-            '{"m": %s, "target": {"r": %s, "theta": "%s"}, "regime": "%s", '
-            '"kappa": %s, "theta1": %s, "theta2": %s, "energy": %s}'
-            % (
-                num(self.m),
-                num(self.target.r),
-                self.target.label,
-                self.regime.value,
-                num(self.kappa),
-                num(self.theta1),
-                num(self.theta2),
-                num(self.energy),
-            )
-        )
+        return _json({
+            "m": self.m,
+            "target": {"r": self.target.r, "theta": self.target.label},
+            "regime": self.regime.value,
+            "kappa": self.kappa,
+            "theta1": self.theta1,
+            "theta2": self.theta2,
+            "energy": self.energy,
+        })
 
     def save(self, path) -> None:
         with open(path, "w") as handle:
@@ -807,10 +801,8 @@ class SwitchingGeometry:
             ("boundary", self.boundary),
             ("noswitch_max", self.no_switch_max),
         ):
-            for theta, r in curve:
-                handle.write(
-                    "%s,%s,%s\n" % (name, format(theta, ".12g"), format(r, ".12g"))
-                )
+            row = f"{name},{_NUMBER},{_NUMBER}\n"
+            handle.write(row * len(curve) % tuple(curve.ravel().tolist()))
 
 
 def sample_geometry(m: float, samples: int = 400) -> SwitchingGeometry:

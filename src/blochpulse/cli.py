@@ -3,29 +3,27 @@
 Subcommands: synthesize, simulate, curves, landmarks, verify, oracle.
 Exit codes: 0 success, 1 usage/input error, 2 unreachable target,
 3 verification failure.  All numeric flags default to the values the test
-suite pins, so omitting them reproduces those numbers; an optional
-key=value config file supplies defaults that explicit flags override.
+suite pins, so omitting them reproduces those numbers.  An optional
+key=value config file becomes the subcommand's argparse defaults, so
+argparse converts each value with its flag's type and an explicit flag
+wins in either spelling.  Every number is printed through ``bloch._num``
+and every JSON object through ``bloch._json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional
 
-from .bloch import PulseTarget, StepControl, write_trajectory_csv
+from .bloch import PulseTarget, StepControl, _json, _num, write_trajectory_csv
 from .bounded import PulseProgram, landmarks, sample_geometry, synthesize
 from .errors import BlochControlError, DidNotConverge, Unreachable
 from .oracle import oracle_transcription
 from .pmp import verify_program
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 class _UsageError(Exception):
@@ -50,25 +48,6 @@ def _bool_from_text(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
 
 
-_CONFIG_TYPES = {
-    "m": str,
-    "target": str,
-    "r_final": float,
-    "out": str,
-    "pulse": str,
-    "step": float,
-    "csv": str,
-    "samples": int,
-    "tol": float,
-    "adjoint_tol": float,
-    "grid": int,
-    "seed": int,
-    "evals": int,
-    "restarts": int,
-    "json": _bool_from_text,
-}
-
-
 def _read_config(path: str) -> dict:
     values = {}
     with open(path) as handle:
@@ -83,17 +62,28 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    for key, raw in _read_config(args.config).items():
-        if key not in _CONFIG_TYPES:
+def _apply_config(subcommands: dict, command: str, path: str) -> None:
+    """Make the config file's values the defaults of the chosen subcommand.
+
+    Parsing again then converts each value with its flag's own type, and an
+    explicit flag wins in either spelling.  Keys of another subcommand are
+    skipped; a key that names no flag is an error.
+    """
+    flags = {
+        action.dest
+        for parser in subcommands.values()
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    chosen = {action.dest: action for action in subcommands[command]._actions}
+    defaults = {}
+    for key, raw in _read_config(path).items():
+        if key not in flags:
             raise ValueError(f"unknown config key {key!r}")
-        if not hasattr(args, key):
-            continue  # key belongs to a different subcommand
-        if f"--{key.replace('_', '-')}" in argv:
-            continue  # explicit flag wins
-        setattr(args, key, _CONFIG_TYPES[key](raw))
+        if key in chosen:
+            # store_true flags take no value, so argparse has no type for them
+            defaults[key] = _bool_from_text(raw) if chosen[key].nargs == 0 else raw
+    subcommands[command].set_defaults(**defaults)
 
 
 def _target_from_args(args: argparse.Namespace) -> PulseTarget:
@@ -108,10 +98,10 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         print(program.to_json())
         return 0
     print(f"regime: {program.regime.value}")
-    print(f"theta1: {_fmt(program.theta1) if program.theta1 is not None else '-'}")
-    print(f"theta2: {_fmt(program.theta2) if program.theta2 is not None else '-'}")
-    print(f"kappa: {_fmt(program.kappa)}")
-    print(f"energy: {_fmt(program.energy)}")
+    print(f"theta1: {_num(program.theta1) if program.theta1 is not None else '-'}")
+    print(f"theta2: {_num(program.theta2) if program.theta2 is not None else '-'}")
+    print(f"kappa: {_num(program.kappa)}")
+    print(f"energy: {_num(program.energy)}")
     return 0
 
 
@@ -121,11 +111,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.csv:
         write_trajectory_csv(trajectory, args.csv)
     deviation = abs(trajectory.total_energy - program.energy) / program.energy
-    print(f"final theta: {_fmt(trajectory.final_theta)}")
-    print(f"final r: {_fmt(trajectory.final_r)}")
-    print(f"simulated energy: {_fmt(trajectory.total_energy)}")
-    print(f"predicted energy: {_fmt(program.energy)}")
-    print(f"relative energy deviation: {_fmt(deviation)}")
+    print(f"final theta: {_num(trajectory.final_theta)}")
+    print(f"final r: {_num(trajectory.final_r)}")
+    print(f"simulated energy: {_num(trajectory.total_energy)}")
+    print(f"predicted energy: {_num(program.energy)}")
+    print(f"relative energy deviation: {_num(deviation)}")
     return 0
 
 
@@ -142,11 +132,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_landmarks(args: argparse.Namespace) -> int:
     values = landmarks(_parse_bound(args.m)).as_dict()
     if args.json:
-        body = ", ".join(f'"{k}": {_fmt(v)}' for k, v in values.items())
-        print("{%s}" % body)
+        print(_json(values))
     else:
         for key, value in values.items():
-            print(f"{key}: {_fmt(value)}")
+            print(f"{key}: {_num(value)}")
     return 0
 
 
@@ -161,10 +150,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.json:
         print(report.to_json())
     else:
-        print(f"max |H|: {_fmt(report.max_abs_h)} (tol {_fmt(report.h_tol)})")
+        print(f"max |H|: {_num(report.max_abs_h)} (tol {_num(report.h_tol)})")
         print(
-            f"adjoint residual: {_fmt(report.adjoint_residual)} "
-            f"(tol {_fmt(report.adjoint_tol)})"
+            f"adjoint residual: {_num(report.adjoint_residual)} "
+            f"(tol {_num(report.adjoint_tol)})"
         )
         print(f"costate exceeds bound inside saturation: {report.lambda_excess_ok}")
         print(f"verdict: {'pass' if report.passed else 'fail'}")
@@ -185,20 +174,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         program=program,
     )
     if args.json:
-        print(
-            '{"synthesized_energy": %s, "oracle": %s}'
-            % (_fmt(program.energy), result.to_json())
-        )
+        print(_json({"synthesized_energy": program.energy, "oracle": result._fields()}))
     else:
-        print(f"synthesized energy: {_fmt(program.energy)}")
-        print(f"oracle best energy: {_fmt(result.best_energy)}")
-        print(f"oracle endpoint error: {_fmt(result.endpoint_error)}")
-        print(f"horizon: {_fmt(result.horizon)}")
+        print(f"synthesized energy: {_num(program.energy)}")
+        print(f"oracle best energy: {_num(result.best_energy)}")
+        print(f"oracle endpoint error: {_num(result.endpoint_error)}")
+        print(f"horizon: {_num(result.horizon)}")
         print(f"evaluations: {result.evaluations}")
     return 0
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="blochpulse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,15 +238,17 @@ def _build_parser() -> _Parser:
     add_common(p)
     p.set_defaults(func=cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        if args.config:
+            _apply_config(subcommands, args.command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
@@ -274,7 +262,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BlochControlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

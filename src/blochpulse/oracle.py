@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import PulseTarget
+from .bloch import PulseTarget, _json
 from .bounded import PulseProgram, synthesize
 from .errors import DidNotConverge
 
@@ -50,21 +50,18 @@ class OracleResult:
     evaluations: int
 
     def to_json(self) -> str:
-        grid = ", ".join(format(u, ".12g") for u in self.control_grid)
-        return (
-            '{"best_energy": %s, "endpoint_error": %s, "horizon": %s, '
-            '"target_theta": %s, "target_radius": %s, "evaluations": %d, '
-            '"control_grid": [%s]}'
-            % (
-                format(self.best_energy, ".12g"),
-                format(self.endpoint_error, ".12g"),
-                format(self.horizon, ".12g"),
-                format(self.target_theta, ".12g"),
-                format(self.target_radius, ".12g"),
-                self.evaluations,
-                grid,
-            )
-        )
+        return _json(self._fields())
+
+    def _fields(self) -> dict:
+        return {
+            "best_energy": self.best_energy,
+            "endpoint_error": self.endpoint_error,
+            "horizon": self.horizon,
+            "target_theta": self.target_theta,
+            "target_radius": self.target_radius,
+            "evaluations": self.evaluations,
+            "control_grid": self.control_grid,
+        }
 
 
 class _Rollout:

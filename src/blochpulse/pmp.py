@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bloch import StepControl, Trajectory, control_hamiltonian
+from .bloch import StepControl, Trajectory, _json, control_hamiltonian
 
 __all__ = [
     "CostateSample",
@@ -194,23 +194,16 @@ class VerificationReport:
         )
 
     def to_json(self) -> str:
-        if self.oracle is None:
-            oracle = "null"
-        else:
-            oracle = '{"best_energy": %s, "endpoint_error": %s}' % (
-                format(self.oracle.best_energy, ".12g"),
-                format(self.oracle.endpoint_error, ".12g"),
-            )
-        return (
-            '{"max_abs_H": %s, "adjoint_residual": %s, "lambda_excess_ok": %s, '
-            '"oracle": %s}'
-            % (
-                format(self.max_abs_h, ".12g"),
-                format(self.adjoint_residual, ".12g"),
-                "true" if self.lambda_excess_ok else "false",
-                oracle,
-            )
-        )
+        oracle = None if self.oracle is None else {
+            "best_energy": self.oracle.best_energy,
+            "endpoint_error": self.oracle.endpoint_error,
+        }
+        return _json({
+            "max_abs_H": self.max_abs_h,
+            "adjoint_residual": self.adjoint_residual,
+            "lambda_excess_ok": self.lambda_excess_ok,
+            "oracle": oracle,
+        })
 
 
 def verify_program(

@@ -139,14 +139,17 @@ class TestIntegrator:
                 lambda theta: 0.0, PolarState(0.0, 0.3), math.pi / 2
             )
 
-    def test_nonpositive_step_rejected(self):
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
+    def test_nonpositive_step_rejected(self, h):
+        calls = []
         with pytest.raises(StepTooLarge):
             integrate_feedback(
-                lambda theta: 1.0,
+                lambda theta: calls.append(theta) or 1.0,
                 PolarState(0.0, 0.3),
                 math.pi / 2,
-                StepControl(h=0.0),
+                StepControl(h=h, max_steps=100),
             )
+        assert calls == []  # rejected before the first step, not by the step cap
 
     def test_stop_angle_must_be_ahead(self):
         with pytest.raises(ValueError):

@@ -267,6 +267,12 @@ class TestLandmarks:
         with pytest.raises(BoundTooSmall):
             landmarks(m)
 
+    def test_unlimited_bound_rejected(self):
+        # every landmark of a finite bound has no limit here: r_B would be nan
+        for fn in (landmarks, sample_geometry):
+            with pytest.raises(ValueError, match="finite control bound, got m=inf"):
+                fn(math.inf)
+
     def test_ordering_above_unit_bound(self):
         for m in np.linspace(1.0, 10.0, 19):
             lm = landmarks(float(m))

@@ -102,6 +102,19 @@ class TestSimulateCommand:
         energy = float(out.split("simulated energy: ")[1].splitlines()[0])
         assert energy == pytest.approx(1.5625, abs=1e-4)
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exit_code(self, capsys, tmp_path, step):
+        pulse = tmp_path / "pulse.json"
+        run(
+            capsys,
+            "synthesize", "--m", "inf", "--target", "pi2", "--r-final", "0.6",
+            "--out", str(pulse),
+        )
+        code, out, err = run(capsys, "simulate", "--pulse", str(pulse), "--step", step)
+        assert code == 1
+        assert out == ""
+        assert "finite and positive" in err
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--pulse", str(tmp_path / "absent.json"))
         assert code == 1
@@ -143,6 +156,12 @@ class TestCurvesCommand:
         code, _, _ = run(capsys, "curves", "--m", "0.3")
         assert code == 1
 
+    def test_unlimited_bound_rejected(self, capsys):
+        code, out, err = run(capsys, "curves", "--m", "inf")
+        assert code == 1
+        assert out == ""
+        assert "finite control bound" in err
+
 
 class TestLandmarksCommand:
     def test_json_output(self, capsys):
@@ -156,6 +175,13 @@ class TestLandmarksCommand:
         code, out, _ = run(capsys, "landmarks", "--m", "0.95")
         assert code == 0
         assert "r_B1:" in out and "r_D2:" in out
+
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_unlimited_bound_rejected(self, capsys, form):
+        code, out, err = run(capsys, "landmarks", "--m", "inf", *form)
+        assert code == 1
+        assert out == ""
+        assert "finite control bound" in err
 
 
 class TestVerifyCommand:
@@ -202,10 +228,32 @@ class TestConfigFile:
         code, out, _ = run(capsys, "curves", "--m", "2", "--config", str(config))
         assert code == 0
         assert len(out.splitlines()) == 1 + 4 * 7
-        code, out, _ = run(
-            capsys, "curves", "--m", "2", "--config", str(config), "--samples", "5"
-        )
-        assert len(out.splitlines()) == 1 + 4 * 5
+        for flag in (["--samples", "5"], ["--samples=5"]):
+            code, out, _ = run(capsys, "curves", "--m", "2", "--config", str(config), *flag)
+            assert len(out.splitlines()) == 1 + 4 * 5
+
+    def test_value_typed_by_its_flag(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("samples = abc\n")
+        code, out, err = run(capsys, "curves", "--m", "2", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert "invalid int value: 'abc'" in err
+
+    def test_json_switch_reads_words(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        for word, is_json in (("yes", True), ("on", True), ("0", False), ("false", False)):
+            config.write_text(f"json = {word}\n")
+            code, out, _ = run(capsys, "landmarks", "--m", "2", "--config", str(config))
+            assert code == 0
+            assert out.startswith("{") is is_json
+
+    def test_other_subcommand_key_skipped(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("evals = 10\nsamples = 3\n")
+        code, out, _ = run(capsys, "curves", "--m", "2", "--config", str(config))
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 4 * 3
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

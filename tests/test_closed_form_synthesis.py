@@ -163,12 +163,12 @@ def test_small_radius_targets(m, theta, r):
     assert program.regime is Regime.TWO_SWITCH
     assert program.theta1 < program.theta2
     assert reference_miss(program) <= RADIUS_RTOL
-    assert program.radius_at(theta) == pytest.approx(r, rel=RADIUS_RTOL)
+    assert program.radius_at(theta) == pytest.approx(r, rel=RADIUS_RTOL, abs=0.0)
 
 
 def test_switching_angles_resolve_tiny_kappa_at_unit_bound():
     theta1, theta2 = switching_angles(1e-12, 1.0)
-    assert theta2 - theta1 == pytest.approx(1e-12, rel=1e-3)
+    assert theta2 - theta1 == pytest.approx(1e-12, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("m", BOUNDS)
