@@ -59,6 +59,7 @@ __all__ = [
 # the synthesized control vanish there, so exact escape takes infinite time.
 # The energy and log-radius content of [0, THETA_START] is O(THETA_START^2).
 THETA_START = 1e-6
+_EPS_STOP = 1e-6  # integrate_feedback stops this far short of theta_stop
 
 # Azimuth convention at the poles and for planar transfers: the control
 # field along +x rotates the vector inside the yz-plane, where phi = pi/2.
@@ -183,13 +184,11 @@ class PulseTarget:
 class StepControl:
     """Fixed-step integration settings.
 
-    ``h`` is the step in rescaled time units; ``eps_stop`` shifts the stop
-    angle to ``theta_stop - eps_stop`` because half-turn transfers approach
-    the stop angle only asymptotically.
+    ``h`` is the step in rescaled time units; ``max_steps`` caps the number
+    of steps a run may take.
     """
 
     h: float = 1e-4
-    eps_stop: float = 1e-6
     max_steps: int = 20_000_000
 
 
@@ -294,11 +293,13 @@ def integrate_feedback(
     """Integrate the planar dynamics under a state-feedback law u(theta).
 
     Classical fixed-step 4th-order integration of (theta, a, energy).  The
-    run terminates on the event theta >= theta_stop - eps_stop; the final
+    run terminates on the event theta >= theta_stop - 1e-6 (half-turn
+    transfers reach pi only asymptotically); the final
     step is shortened by bisection so the last sample lands on the event
     angle instead of overshooting it.  The control recorded at a sample is
     the step's first stage (k1), so the law is evaluated four times per
-    step; ``lambda_theta`` and ``hamiltonian`` are filled after the loop.
+    step; ``lambda_theta`` and ``hamiltonian`` are filled after the loop
+    from ``costate`` and ``lambda_a``, and are NaN without them.
 
     Raises StallDetected if the closed-loop angle rate is non-positive at
     any recorded sample before the stop angle, and StepTooLarge if time
@@ -311,7 +312,7 @@ def integrate_feedback(
     if not 0.0 < step.h < math.inf:
         raise StepTooLarge(f"step must be finite and positive, got {step.h}")
 
-    goal = theta_stop - step.eps_stop
+    goal = theta_stop - _EPS_STOP
     sin, cos = math.sin, math.cos
 
     def advance(th: float, aa: float, en: float, h: float, k1: tuple) -> tuple[float, float, float]:
@@ -445,12 +446,11 @@ def energy_theta_quadrature(
     thetadot_of_theta: Callable[[float], float],
     theta_lo: float,
     theta_hi: float,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Pulse energy in the angle domain: integral of u^2/(2 thetadot).
 
     Composite Simpson quadrature with panel doubling until successive
-    estimates agree to ``rel_tol``.  The integrand at the two endpoints is
+    estimates agree to 1e-10 relative.  The integrand at the two endpoints is
     replaced by 0 when it evaluates to an indeterminate form there (the
     synthesized laws have u -> 0 and thetadot -> 0 together at theta = 0 and
     theta = pi, where the limit is zero).  A non-positive angle rate at an
@@ -497,7 +497,7 @@ def energy_theta_quadrature(
     while n <= 2 ** 21:
         n *= 2
         current = simpson(n)
-        if abs(current - prev) <= rel_tol * max(abs(current), 1e-12) + 1e-15:
+        if abs(current - prev) <= 1e-10 * max(abs(current), 1e-12) + 1e-15:
             return current
         prev = current
     return prev

@@ -300,8 +300,9 @@ class Landmarks:
 def landmarks(m: float) -> Landmarks:
     """All applicable landmark radii and angles for the bound ``m``."""
     _require_bound(m)
-    if math.isinf(m):
-        raise ValueError(f"landmarks need a finite control bound, got m={m}")
+    if math.isinf(m * m):
+        overflow = "" if math.isinf(m) else ", whose square overflows"
+        raise ValueError(f"landmarks need a finite control bound, got m={m}{overflow}")
     w = math.sqrt(4.0 * m * m - 1.0)
     r_c1 = math.exp(-math.pi / w)
     r_d1 = math.exp(-(math.pi - arccot(1.0 / w)) / w)
@@ -350,11 +351,12 @@ def classify(m: float, target: PulseTarget) -> Regime:
 
     Boundary radii are inclusive downward, matching the interval placement
     of the regime table: a target exactly on a landmark belongs to the
-    interval whose upper end it is.
+    interval whose upper end it is.  A bound whose square overflows (inf
+    too) never saturates, so every target is NO_SWITCH.
     """
-    if math.isinf(m):
-        return Regime.NO_SWITCH
     _require_bound(m)
+    if math.isinf(m * m):
+        return Regime.NO_SWITCH
     lm = landmarks(m)
     r = target.r
     if target.is_inversion:
@@ -499,14 +501,12 @@ class PulseProgram:
         """Angle-parameterized closed-form radius along the program."""
         return _program_radius(self.m, self.kappa, self._saturated_interval(), theta)
 
-    def simulate(
-        self, step: StepControl = StepControl(), theta_start: float = THETA_START
-    ) -> Trajectory:
-        """Closed-loop run of the program from just off the unit pole."""
+    def simulate(self, step: StepControl = StepControl()) -> Trajectory:
+        """Closed-loop run of the program from (r, theta) = (1, THETA_START)."""
         control, costate = self._law
         return integrate_feedback(
             control,
-            PolarState(a=0.0, theta=theta_start),
+            PolarState(a=0.0, theta=THETA_START),
             self.target.theta,
             step=step,
             costate=costate,
@@ -547,6 +547,8 @@ class PulseProgram:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pulse program document: {exc}") from exc
+        if not 0.0 < program.energy < math.inf:
+            raise ValueError(f"energy must be finite and positive, got {program.energy}")
         program._validate_shape()
         return program
 

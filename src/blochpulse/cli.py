@@ -41,7 +41,7 @@ def _parse_bound(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise _UsageError(f"invalid control bound {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid control bound {text!r}") from None
 
 
 def _bool_from_text(text: str) -> bool:
@@ -91,7 +91,7 @@ def _target_from_args(args: argparse.Namespace) -> PulseTarget:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    program = synthesize(_parse_bound(args.m), _target_from_args(args))
+    program = synthesize(args.m, _target_from_args(args))
     if args.out:
         program.save(args.out)
     if args.json:
@@ -120,7 +120,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    geometry = sample_geometry(_parse_bound(args.m), args.samples)
+    geometry = sample_geometry(args.m, args.samples)
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
             geometry.write_csv(handle)
@@ -130,7 +130,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_landmarks(args: argparse.Namespace) -> int:
-    values = landmarks(_parse_bound(args.m)).as_dict()
+    values = landmarks(args.m).as_dict()
     if args.json:
         print(_json(values))
     else:
@@ -161,11 +161,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    m = _parse_bound(args.m)
     target = _target_from_args(args)
-    program = synthesize(m, target)
+    program = synthesize(args.m, target)
     result = oracle_transcription(
-        m,
+        args.m,
         target,
         n_segments=args.grid,
         evaluations=args.evals,
@@ -193,7 +192,9 @@ def _build_parser() -> tuple[_Parser, dict]:
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("synthesize", help="design a pulse program")
-    p.add_argument("--m", required=True, help="control bound (> 0.5) or 'inf'")
+    p.add_argument(
+        "--m", type=_parse_bound, required=True, help="control bound (> 0.5) or 'inf'"
+    )
     p.add_argument("--target", required=True, choices=["pi", "pi2"])
     p.add_argument("--r-final", dest="r_final", type=float, required=True)
     p.add_argument("--out", help="write the program JSON here")
@@ -208,14 +209,14 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("curves", help="export the switching geometry")
-    p.add_argument("--m", required=True)
+    p.add_argument("--m", type=_parse_bound, required=True)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--csv", help="write here instead of stdout")
     add_common(p)
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("landmarks", help="named radii/angles for a bound")
-    p.add_argument("--m", required=True)
+    p.add_argument("--m", type=_parse_bound, required=True)
     add_common(p)
     p.set_defaults(func=cmd_landmarks)
 
@@ -228,7 +229,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="transcription search for cheaper controls")
-    p.add_argument("--m", required=True)
+    p.add_argument("--m", type=_parse_bound, required=True)
     p.add_argument("--target", required=True, choices=["pi", "pi2"])
     p.add_argument("--r-final", dest="r_final", type=float, required=True)
     p.add_argument("--grid", type=int, default=200, help="number of control segments")

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import PulseTarget, _json
+from .bloch import THETA_START, PulseTarget, _json
 from .bounded import PulseProgram, synthesize
 from .errors import DidNotConverge
 
@@ -253,15 +253,14 @@ def oracle_transcription(
         target_theta = target.theta
         target_radius = target.r
 
-    start_theta = float(trajectory.theta[0])
-    progress_angle = start_theta + 0.99 * (target_theta - start_theta)
+    progress_angle = THETA_START + 0.99 * (target_theta - THETA_START)
     idx = min(int(np.searchsorted(trajectory.theta, progress_angle)), len(trajectory) - 1)
     horizon = 3.0 * float(trajectory.t[idx])
 
     bound = m if math.isfinite(m) else max(1.0, 2.0 * float(trajectory.u.max()))
     seg_dt = horizon / n_segments
     n_sub = max(1, math.ceil(seg_dt / 0.03))
-    rollout = _Rollout(n_segments, seg_dt, n_sub, start_theta, target_theta, target_radius)
+    rollout = _Rollout(n_segments, seg_dt, n_sub, THETA_START, target_theta, target_radius)
 
     boundaries = np.linspace(0.0, horizon, n_segments + 1)
     rng = np.random.default_rng(seed)

@@ -36,6 +36,8 @@ __all__ = [
     "verify_program",
 ]
 
+_EXCLUSION_STEPS = 10  # check_adjoint's skipped samples around each switch
+
 
 @dataclass(frozen=True)
 class CostateSample:
@@ -81,11 +83,11 @@ class HamiltonianCheck:
         return self.max_abs_h < self.tol
 
 
-def check_hamiltonian(program, tol: float = 1e-8, grid_points: int = 10_000) -> HamiltonianCheck:
-    """Largest |H| over a uniform angle grid spanning the program domain."""
+def check_hamiltonian(program, tol: float = 1e-8) -> HamiltonianCheck:
+    """Largest |H| over a uniform 10,000-point angle grid spanning the program domain."""
     lo, hi = program.theta_domain
     worst = 0.0
-    for theta in np.linspace(lo, hi, grid_points):
+    for theta in np.linspace(lo, hi, 10_000):
         theta = float(theta)
         value = abs(
             control_hamiltonian(
@@ -112,17 +114,16 @@ def check_adjoint(
     program,
     tol: float = 1e-4,
     step: float = 1e-4,
-    exclusion_steps: int = 10,
     trajectory: Optional[Trajectory] = None,
 ) -> AdjointCheck:
     """Finite-difference residual of the costate rate equation.
 
     Differentiates lambda_theta(t) centrally, taken from a run of the program
     or from ``costate`` along a supplied trajectory (at its step), and compares with
-    lambda_theta cos(2 theta) + lambda_a sin(2 theta).  Samples within
-    ``exclusion_steps`` grid steps of a switching angle are skipped, since
-    the costate's curvature jumps with the control there; the shortened
-    final step is skipped for the same reason.
+    lambda_theta cos(2 theta) + lambda_a sin(2 theta).  Samples within 10
+    grid steps of a switching angle are skipped, since the costate's
+    curvature jumps with the control there; the last 10 samples, around the
+    shortened final step, are skipped for the same reason.
     """
     if trajectory is None:
         trajectory = program.simulate(StepControl(h=step))
@@ -139,11 +140,11 @@ def check_adjoint(
     residual = np.abs(fd - rhs) / np.maximum(1.0, np.abs(rhs))
 
     keep = np.ones(len(residual), dtype=bool)
-    keep[-exclusion_steps:] = False  # event-shortened last step breaks the stencil
+    keep[-_EXCLUSION_STEPS:] = False  # event-shortened last step breaks the stencil
     for switch in _switch_angles(program):
         idx = int(np.searchsorted(theta, switch)) - 1
-        lo = max(idx - exclusion_steps, 0)
-        hi = min(idx + exclusion_steps, len(residual))
+        lo = max(idx - _EXCLUSION_STEPS, 0)
+        hi = min(idx + _EXCLUSION_STEPS, len(residual))
         keep[lo:hi] = False
     if not keep.any():
         raise ValueError("exclusion windows removed every sample")
@@ -176,14 +177,13 @@ def saturation_excess(program) -> Optional[float]:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Verification summary; ``oracle`` stays None unless a search was run."""
+    """Verification summary; its JSON keeps an always-null ``oracle`` key."""
 
     max_abs_h: float
     adjoint_residual: float
     lambda_excess_ok: bool
     h_tol: float
     adjoint_tol: float
-    oracle: Optional[object] = None
 
     @property
     def passed(self) -> bool:
@@ -194,15 +194,11 @@ class VerificationReport:
         )
 
     def to_json(self) -> str:
-        oracle = None if self.oracle is None else {
-            "best_energy": self.oracle.best_energy,
-            "endpoint_error": self.oracle.endpoint_error,
-        }
         return _json({
             "max_abs_H": self.max_abs_h,
             "adjoint_residual": self.adjoint_residual,
             "lambda_excess_ok": self.lambda_excess_ok,
-            "oracle": oracle,
+            "oracle": None,
         })
 
 
@@ -212,7 +208,6 @@ def verify_program(
     adjoint_tol: float = 1e-4,
     step: float = 1e-4,
     trajectory: Optional[Trajectory] = None,
-    oracle: Optional[object] = None,
 ) -> VerificationReport:
     """Run all stationarity checks and collect them into one report."""
     ham = check_hamiltonian(program, tol=h_tol)
@@ -224,5 +219,4 @@ def verify_program(
         lambda_excess_ok=excess is None or excess > 0.0,
         h_tol=h_tol,
         adjoint_tol=adjoint_tol,
-        oracle=oracle,
     )

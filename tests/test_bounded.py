@@ -273,6 +273,13 @@ class TestLandmarks:
             with pytest.raises(ValueError, match="finite control bound, got m=inf"):
                 fn(math.inf)
 
+    def test_bound_whose_square_overflows_rejected(self):
+        # at m = 1e155 the closed forms gave r_B = inf and r_D2 = nan
+        for m in (1e155, 1e200):
+            for fn in (landmarks, sample_geometry):
+                with pytest.raises(ValueError, match="finite control bound, got m=.*overflows"):
+                    fn(m)
+
     def test_ordering_above_unit_bound(self):
         for m in np.linspace(1.0, 10.0, 19):
             lm = landmarks(float(m))

@@ -125,6 +125,19 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, "simulate", "--pulse", str(bad))
         assert code == 1
 
+    @pytest.mark.parametrize("energy", ["0", "-1", "NaN"])
+    def test_non_positive_energy_exit_code(self, capsys, tmp_path, energy):
+        # the energy divides the reported deviation
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"m": null, "target": {"r": 0.6, "theta": "pi/2"}, "regime": "none", '
+            f'"kappa": 1.875, "theta1": null, "theta2": null, "energy": {energy}}}'
+        )
+        code, out, err = run(capsys, "simulate", "--pulse", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestCurvesCommand:
     def test_stdout_csv(self, capsys):
@@ -162,6 +175,12 @@ class TestCurvesCommand:
         assert out == ""
         assert "finite control bound" in err
 
+    def test_bound_whose_square_overflows_rejected(self, capsys):
+        code, out, err = run(capsys, "curves", "--m", "1e200")
+        assert code == 1
+        assert out == ""
+        assert "square overflows" in err
+
 
 class TestLandmarksCommand:
     def test_json_output(self, capsys):
@@ -182,6 +201,14 @@ class TestLandmarksCommand:
         assert code == 1
         assert out == ""
         assert "finite control bound" in err
+
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_bound_whose_square_overflows_rejected(self, capsys, form):
+        # the closed forms gave r_D2 = nan, which --json wrote as a bare nan
+        code, out, err = run(capsys, "landmarks", "--m", "1e200", *form)
+        assert code == 1
+        assert out == ""
+        assert "square overflows" in err
 
 
 class TestVerifyCommand:
@@ -219,6 +246,22 @@ class TestOracleCommand:
         raw = json.loads(out)
         assert raw["oracle"]["endpoint_error"] <= 1e-3
         assert raw["oracle"]["best_energy"] >= raw["synthesized_energy"] - 1e-2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synthesize", "--target", "pi", "--r-final", "0.39"],
+        ["curves"],
+        ["landmarks"],
+        ["oracle", "--target", "pi", "--r-final", "0.39"],
+    ],
+)
+def test_bad_bound_is_an_argparse_error(capsys, command):
+    code, out, err = run(capsys, *command, "--m", "abc")
+    assert code == 1
+    assert out == ""
+    assert f"blochpulse {command[0]}: error: argument --m: invalid control bound 'abc'" in err
 
 
 class TestConfigFile:

@@ -57,6 +57,11 @@ class TestClassify:
         with pytest.raises(BoundTooSmall):
             classify(0.5, PulseTarget(0.3, math.pi))
 
+    @pytest.mark.parametrize("m", [-math.inf, -1e200])
+    def test_negative_bound_with_infinite_square_rejected(self, m):
+        with pytest.raises(BoundTooSmall):
+            classify(m, PulseTarget(0.3, math.pi))
+
 
 class TestTwoSwitchSolver:
     def test_half_turn_reference(self, example1):
@@ -111,6 +116,14 @@ class TestSynthesizeDispatch:
         assert math.isinf(unbounded_quarter.m)
         assert unbounded_quarter.kappa == pytest.approx(1.875)
         assert unbounded_quarter.energy == pytest.approx(1.5625, rel=1e-8)
+
+    @pytest.mark.parametrize("theta", [math.pi, QUARTER])
+    def test_bound_whose_square_overflows_never_switches(self, theta):
+        target = PulseTarget(0.5, theta)
+        program = synthesize(1e200, target)
+        assert program.regime is Regime.NO_SWITCH
+        assert program.m == 1e200
+        assert program.kappa == synthesize(math.inf, target).kappa
 
     def test_unreachable_reports_limit(self):
         with pytest.raises(Unreachable) as info:
@@ -255,6 +268,12 @@ class TestProgramSerialization:
             '"kappa": 2.2, "theta1": 0.7, "theta2": 1.8, "energy": 2.3}',
             '{"m": 2, "target": {"r": 0.39, "theta": "pi"}, "regime": "three", '
             '"kappa": 2.2, "theta1": 0.7, "theta2": 1.8, "energy": 2.3}',
+            '{"m": 2, "target": {"r": 0.39, "theta": "pi"}, "regime": "two", '
+            '"kappa": 2.2, "theta1": 0.7, "theta2": 1.8, "energy": 0}',
+            '{"m": 2, "target": {"r": 0.39, "theta": "pi"}, "regime": "two", '
+            '"kappa": 2.2, "theta1": 0.7, "theta2": 1.8, "energy": -1}',
+            '{"m": 2, "target": {"r": 0.39, "theta": "pi"}, "regime": "two", '
+            '"kappa": 2.2, "theta1": 0.7, "theta2": 1.8, "energy": NaN}',
         ],
     )
     def test_malformed_documents_rejected(self, text):
