@@ -294,12 +294,13 @@ def integrate_feedback(
 
     Classical fixed-step 4th-order integration of (theta, a, energy).  The
     run terminates on the event theta >= theta_stop - 1e-6 (half-turn
-    transfers reach pi only asymptotically); the final
-    step is shortened by bisection so the last sample lands on the event
-    angle instead of overshooting it.  The control recorded at a sample is
-    the step's first stage (k1), so the law is evaluated four times per
-    step; ``lambda_theta`` and ``hamiltonian`` are filled after the loop
-    from ``costate`` and ``lambda_a``, and are NaN without them.
+    transfers reach pi only asymptotically); the final step is shortened
+    by bisection, until it can no longer shrink, so the last sample lands
+    on the event angle instead of overshooting it.  The control recorded
+    at a sample is the step's first stage (k1), so the law is evaluated
+    four times per step; ``lambda_theta`` and ``hamiltonian`` are filled
+    after the loop from ``costate`` and ``lambda_a``, and are NaN without
+    them.
 
     Raises StallDetected if the closed-loop angle rate is non-positive at
     any recorded sample before the stop angle, and StepTooLarge if time
@@ -364,17 +365,18 @@ def integrate_feedback(
         th_next, a_next, e_next = advance(th, aa, en, h, k1)
         h_used = h
         if th_next >= goal:
-            # shrink the final step until it lands on the event angle
+            # shrink the final step until it lands on the event angle, or
+            # until no double lies between the bisection's ends
             lo, hi = 0.0, h
-            for _ in range(200):
+            while hi - lo > 1e-18 * h:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
                 th_mid, _, _ = advance(th, aa, en, mid, k1)
                 if th_mid >= goal:
                     hi = mid
                 else:
                     lo = mid
-                if hi - lo <= 1e-18 * h:
-                    break
             h_used = hi
             th_next, a_next, e_next = advance(th, aa, en, h_used, k1)
         elif th_next <= th:

@@ -160,6 +160,11 @@ def kappa_from_switch(theta: float, m: float, which: str = "first") -> float:
     else:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
     value = linear * linear + m * m - 1.0
+    if math.isinf(value):
+        raise ValueError(
+            f"control bound m={m:.9g} is too large: kappa^2 overflows at "
+            f"theta={theta:.9g} on the {which} switching curve"
+        )
     if value < 0.0:
         # only possible for m < 1 at the curve ends, from rounding
         value = 0.0
@@ -441,11 +446,7 @@ class PulseProgram:
         return 0.0, self.target.theta
 
     def _saturated_interval(self) -> Optional[tuple[float, float]]:
-        if self.regime is Regime.TWO_SWITCH:
-            return self.theta1, self.theta2
-        if self.regime is Regime.ONE_SWITCH:
-            return self.theta1, self.target.theta
-        return None
+        return _saturated_interval(self.target, self.theta1, self.theta2)
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -574,6 +575,30 @@ class PulseProgram:
             _require_bound(self.m)
 
 
+def _saturated_interval(
+    target: PulseTarget, theta1: Optional[float], theta2: Optional[float]
+) -> Optional[tuple[float, float]]:
+    """The one saturated arc: none without theta1, and up to the target
+    angle without theta2."""
+    if theta1 is None:
+        return None
+    return theta1, target.theta if theta2 is None else theta2
+
+
+def _program(
+    m: float,
+    target: PulseTarget,
+    regime: Regime,
+    kappa: float,
+    theta1: Optional[float] = None,
+    theta2: Optional[float] = None,
+) -> PulseProgram:
+    """A synthesized program, with its closed-form energy."""
+    sat = _saturated_interval(target, theta1, theta2)
+    energy = _program_energy(m, kappa, sat, target.theta)
+    return PulseProgram(m, target, regime, kappa, theta1, theta2, energy)
+
+
 def _program_radius(
     m: float, kappa: float, sat: Optional[tuple[float, float]], theta: float
 ) -> float:
@@ -689,15 +714,7 @@ def solve_two_switch(m: float, target: PulseTarget) -> PulseProgram:
     theta1, theta2 = switching_angles(kappa, m)
     # at the axis end of the bracket rounding can put theta2 an ulp past it
     theta2 = min(theta2, target.theta)
-    return PulseProgram(
-        m=m,
-        target=target,
-        regime=Regime.TWO_SWITCH,
-        kappa=kappa,
-        theta1=theta1,
-        theta2=theta2,
-        energy=_program_energy(m, kappa, (theta1, theta2), target.theta),
-    )
+    return _program(m, target, Regime.TWO_SWITCH, kappa, theta1, theta2)
 
 
 def solve_one_switch(m: float, r_tau: float) -> PulseProgram:
@@ -727,15 +744,7 @@ def solve_one_switch(m: float, r_tau: float) -> PulseProgram:
             f"for r={r_tau}, m={m}"
         )
     kappa = kappa_from_switch(theta1, m, "first")
-    return PulseProgram(
-        m=m,
-        target=target,
-        regime=Regime.ONE_SWITCH,
-        kappa=kappa,
-        theta1=theta1,
-        theta2=None,
-        energy=_program_energy(m, kappa, (theta1, _HALF_PI), _HALF_PI),
-    )
+    return _program(m, target, Regime.ONE_SWITCH, kappa, theta1)
 
 
 def synthesize(m: float, target: PulseTarget) -> PulseProgram:
@@ -757,16 +766,7 @@ def synthesize(m: float, target: PulseTarget) -> PulseProgram:
             limit_radius=limit,
         )
     if regime is Regime.NO_SWITCH:
-        kappa = unbounded.kappa_for_target(target)
-        program = PulseProgram(
-            m=m,
-            target=target,
-            regime=Regime.NO_SWITCH,
-            kappa=kappa,
-            theta1=None,
-            theta2=None,
-            energy=_program_energy(m, kappa, None, target.theta),
-        )
+        program = _program(m, target, regime, unbounded.kappa_for_target(target))
     elif regime is Regime.TWO_SWITCH:
         program = solve_two_switch(m, target)
     else:

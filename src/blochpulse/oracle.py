@@ -74,7 +74,8 @@ class _Rollout:
     the running minimum distance: no later point can come closer, and the
     returned miss is the one the full tail would give.  States past the
     boundaries a committed probe reached are marched lazily, when a later
-    probe starts there.
+    probe starts there.  Boundary 0, the start point on the unit sphere,
+    is fixed at construction.
     """
 
     def __init__(
@@ -89,21 +90,22 @@ class _Rollout:
         self.n = n_segments
         self.n_sub = n_sub
         self.dt = seg_dt / n_sub
-        self.start_theta = start_theta
         self.z_t = target_radius * math.cos(target_theta)
         self.y_t = target_radius * math.sin(target_theta)
         # rounding of the rolled-out points is far below this relative slack
         self.settle_radius = math.hypot(self.z_t, self.y_t)
         self.settle_slack = 1e-9 * self.settle_radius
-        self.theta = [0.0] * (n_segments + 1)
+        start_dist = math.hypot(
+            math.cos(start_theta) - self.z_t, math.sin(start_theta) - self.y_t
+        )
+        self.theta = [start_theta] + [0.0] * n_segments
         self.log_r = [0.0] * (n_segments + 1)
-        self.min_dist = [0.0] * (n_segments + 1)
+        self.min_dist = [start_dist] + [0.0] * n_segments
         self.valid = 0  # boundaries 0..valid hold the committed controls' states
 
-    def _advance(
-        self, controls, first: int, replace_value: Optional[float], end: int, settle: bool
-    ):
-        """March segments first..end-1; returns (err, tail states).
+    def _advance(self, controls, first: int, value: float, end: int, settle: bool):
+        """March segments first..end-1, segment ``first`` at ``value``;
+        returns (err, tail states).
 
         The target miss is the minimum distance from the target point to
         the polyline through the sub-step states, so a fast crossing of
@@ -130,7 +132,7 @@ class _Rollout:
         for k in range(first, end):
             if settle and settle_radius - r > best + settle_slack:
                 break
-            u = replace_value if (k == first and replace_value is not None) else controls[k]
+            u = value if k == first else controls[k]
             for _ in range(self.n_sub):
                 s = sin(th)
                 k1t = u - s * cos(th)
@@ -174,16 +176,9 @@ class _Rollout:
         return best, tail_theta, tail_log_r, tail_min
 
     def reset(self, controls) -> float:
-        self.theta[0] = self.start_theta
-        self.log_r[0] = 0.0
-        r = math.exp(self.log_r[0])
-        self.min_dist[0] = math.hypot(
-            r * math.cos(self.theta[0]) - self.z_t,
-            r * math.sin(self.theta[0]) - self.y_t,
-        )
-        err, t_th, t_a, t_m = self._advance(controls, 0, None, self.n, False)
-        self._commit(0, t_th, t_a, t_m)
-        return err
+        tail = self._advance(controls, 0, controls[0], self.n, False)
+        self.commit(0, tail)
+        return tail[0]
 
     def probe(self, controls, index: int, value: float):
         """Miss and tail states with segment ``index`` set to ``value``.
@@ -191,21 +186,19 @@ class _Rollout:
         ``controls`` must hold the committed controls: states a settled
         commit left unmarched up to ``index`` are marched from them first.
         """
-        if self.valid < index:
-            _, t_th, t_a, t_m = self._advance(controls, self.valid, None, index, False)
-            self._commit(self.valid, t_th, t_a, t_m)
+        first = self.valid
+        if first < index:
+            self.commit(first, self._advance(controls, first, controls[first], index, False))
         return self._advance(controls, index, value, self.n, True)
 
-    def _commit(self, first: int, tail_theta, tail_log_r, tail_min) -> None:
+    def commit(self, first: int, tail) -> None:
+        """Store the tail states of a march or probe that started at ``first``."""
+        _, tail_theta, tail_log_r, tail_min = tail
         stop = first + 1 + len(tail_theta)
         self.theta[first + 1 : stop] = tail_theta
         self.log_r[first + 1 : stop] = tail_log_r
         self.min_dist[first + 1 : stop] = tail_min
         self.valid = stop - 1
-
-    def commit(self, first: int, tail) -> None:
-        _, t_th, t_a, t_m = tail
-        self._commit(first, t_th, t_a, t_m)
 
 
 def _resample_control(program_trajectory, boundaries: np.ndarray, bound: float) -> np.ndarray:

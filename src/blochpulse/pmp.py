@@ -13,8 +13,10 @@ Three independent signals certify a synthesized pulse:
 
 The checks accept any object exposing ``control(theta)``,
 ``costate(theta)``, ``lambda_a`` and ``theta_domain`` - in particular a
-``PulseProgram`` - and read ``segments`` and ``m`` when present.  Per-arc
-closed forms live in ``unbounded`` (smooth) and ``bounded`` (saturated).
+``PulseProgram`` - and read ``segments`` and ``m`` when present.  The
+switching angles are read from ``segments`` only: each arc after the first
+starts at one.  Per-arc closed forms live in ``unbounded`` (smooth) and
+``bounded`` (saturated).
 """
 
 from __future__ import annotations
@@ -121,9 +123,10 @@ def check_adjoint(
     Differentiates lambda_theta(t) centrally, taken from a run of the program
     or from ``costate`` along a supplied trajectory (at its step), and compares with
     lambda_theta cos(2 theta) + lambda_a sin(2 theta).  Samples within 10
-    grid steps of a switching angle are skipped, since the costate's
-    curvature jumps with the control there; the last 10 samples, around the
-    shortened final step, are skipped for the same reason.
+    grid steps of a switching angle (the start of every segment after the
+    first) are skipped, since the costate's curvature jumps with the
+    control there; the last 10 samples, around the shortened final step,
+    are skipped for the same reason.
     """
     if trajectory is None:
         trajectory = program.simulate(StepControl(h=step))
@@ -141,23 +144,14 @@ def check_adjoint(
 
     keep = np.ones(len(residual), dtype=bool)
     keep[-_EXCLUSION_STEPS:] = False  # event-shortened last step breaks the stencil
-    for switch in _switch_angles(program):
-        idx = int(np.searchsorted(theta, switch)) - 1
+    for seg in getattr(program, "segments", ())[1:]:
+        idx = int(np.searchsorted(theta, seg.theta_lo)) - 1
         lo = max(idx - _EXCLUSION_STEPS, 0)
         hi = min(idx + _EXCLUSION_STEPS, len(residual))
         keep[lo:hi] = False
     if not keep.any():
         raise ValueError("exclusion windows removed every sample")
     return AdjointCheck(max_residual=float(residual[keep].max()), tol=tol, step=step)
-
-
-def _switch_angles(program) -> list[float]:
-    angles = []
-    for name in ("theta1", "theta2"):
-        value = getattr(program, name, None)
-        if value is not None:
-            angles.append(value)
-    return angles
 
 
 def saturation_excess(program) -> Optional[float]:

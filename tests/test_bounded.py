@@ -280,6 +280,14 @@ class TestLandmarks:
                 with pytest.raises(ValueError, match="finite control bound, got m=.*overflows"):
                     fn(m)
 
+    def test_bound_whose_switching_curve_overflows_rejected(self):
+        # second_switch_radius(pi, m) needs the entry curve at theta ~ 1.2e-16
+        with pytest.raises(ValueError, match=r"m=2e\+138 is too large"):
+            sample_geometry(2e138, 5)
+        geo = sample_geometry(1.5e138, 400)
+        for curve in (geo.first_curve, geo.second_curve, geo.boundary, geo.no_switch_max):
+            assert np.isfinite(curve).all()
+
     def test_ordering_above_unit_bound(self):
         for m in np.linspace(1.0, 10.0, 19):
             lm = landmarks(float(m))

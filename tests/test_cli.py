@@ -181,6 +181,15 @@ class TestCurvesCommand:
         assert out == ""
         assert "square overflows" in err
 
+    def test_bound_whose_switching_curve_overflows_rejected(self, capsys):
+        # the exit curve at theta = pi needs the entry curve near theta = 0,
+        # whose kappa^2 overflows from about m = 1.6e138
+        code, out, err = run(capsys, "curves", "--m", "2e138", "--samples", "5")
+        assert code == 1
+        assert out == ""
+        assert "m=2e+138" in err
+        assert "too large" in err
+
 
 class TestLandmarksCommand:
     def test_json_output(self, capsys):

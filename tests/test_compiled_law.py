@@ -122,7 +122,7 @@ def test_one_law_evaluation_per_stage():
     steps = len(traj) - 1
     # one evaluation per sample (the first stage), three more per step, and
     # three per bisection trial of the shortened final step
-    assert 4 * steps + 1 <= len(calls) <= 4 * steps + 1 + 3 * 201
+    assert 4 * steps + 1 <= len(calls) <= 4 * steps + 1 + 3 * 61
     assert set(traj.theta.tolist()) <= set(calls)
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +133,21 @@ class TestAdjointCheck:
     def test_two_switch_program(self, example1, example1_trajectory):
         check = check_adjoint(example1, trajectory=example1_trajectory)
         assert check.max_residual < 1e-5
+
+    def test_switches_read_from_segments(self, example1):
+        # a view without theta1/theta2: the switch windows come from segments
+        view = SimpleNamespace(
+            m=example1.m,
+            lambda_a=example1.lambda_a,
+            theta_domain=example1.theta_domain,
+            segments=example1.segments,
+            control=example1.control,
+            costate=example1.costate,
+            simulate=example1.simulate,
+        )
+        assert check_adjoint(view, step=1e-3).max_residual == check_adjoint(
+            example1, step=1e-3
+        ).max_residual
 
     def test_constant_costate_fails(self):
         check = check_adjoint(_DriftingCostate(), step=1e-3)
