@@ -60,6 +60,7 @@ __all__ = [
 # The energy and log-radius content of [0, THETA_START] is O(THETA_START^2).
 THETA_START = 1e-6
 _EPS_STOP = 1e-6  # integrate_feedback stops this far short of theta_stop
+_MAX_STEPS = 20_000_000  # integrate_feedback raises StepTooLarge past this many steps
 
 # Azimuth convention at the poles and for planar transfers: the control
 # field along +x rotates the vector inside the yz-plane, where phi = pi/2.
@@ -182,14 +183,9 @@ class PulseTarget:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Fixed-step integration settings.
-
-    ``h`` is the step in rescaled time units; ``max_steps`` caps the number
-    of steps a run may take.
-    """
+    """Fixed-step integration settings: ``h`` is the step in rescaled time units."""
 
     h: float = 1e-4
-    max_steps: int = 20_000_000
 
 
 @dataclass
@@ -302,9 +298,9 @@ def integrate_feedback(
     after the loop from ``costate`` and ``lambda_a``, and are NaN without
     them.
 
-    Raises StallDetected if the closed-loop angle rate is non-positive at
-    any recorded sample before the stop angle, and StepTooLarge if time
-    would fail to advance.
+    Raises StallDetected if the closed-loop angle rate is not positive (or
+    is NaN) at any recorded sample before the stop angle, and StepTooLarge
+    if time would fail to advance or the run exceeds _MAX_STEPS steps.
     """
     if theta_stop <= start.theta:
         raise ValueError(
@@ -345,7 +341,7 @@ def integrate_feedback(
 
     h = step.h
     t, th, aa, en = 0.0, start.theta, start.a, 0.0
-    for _ in range(step.max_steps):
+    for _ in range(_MAX_STEPS):
         u = u_of_theta(th)
         ts.append(t)
         thetas.append(th)
@@ -357,9 +353,9 @@ def integrate_feedback(
             break
         s = sin(th)
         k1 = u - s * cos(th), -s * s, 0.5 * u * u
-        if k1[0] <= 0.0:
+        if not k1[0] > 0.0:
             raise StallDetected(
-                f"closed-loop angle rate is non-positive at theta={th:.9g}"
+                f"closed-loop angle rate is not positive at theta={th:.9g}"
             )
 
         th_next, a_next, e_next = advance(th, aa, en, h, k1)
@@ -387,7 +383,7 @@ def integrate_feedback(
         th, aa, en = th_next, a_next, e_next
     else:
         raise StepTooLarge(
-            f"exceeded {step.max_steps} steps before reaching theta={theta_stop}"
+            f"exceeded {_MAX_STEPS} steps before reaching theta={theta_stop}"
         )
 
     nans = [math.nan] * len(ts)
@@ -517,6 +513,12 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     ))
     with open(path, "w", newline="") as handle:
         handle.write("t,theta,a,r,u,lambda_theta,hamiltonian\n")
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            handle.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
+        _write_rows(handle, _CSV_ROW, rows)
+
+
+def _write_rows(handle, row: str, rows: np.ndarray) -> None:
+    """Write one ``row % values`` line per row of ``rows``, a block of rows
+    per ``%`` operation."""
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start:start + _CSV_BLOCK_ROWS]
+        handle.write(row * len(block) % tuple(block.ravel().tolist()))

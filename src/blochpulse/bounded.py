@@ -37,8 +37,10 @@ from .bloch import (
     PulseTarget,
     StepControl,
     Trajectory,
+    _HALF_PI,
     _json,
     _NUMBER,
+    _write_rows,
     energy_theta_quadrature,  # noqa: F401 -- not called; blochbench's tracer patches it here
     integrate_feedback,
 )
@@ -50,7 +52,7 @@ from .errors import (
     NoRealSwitch,
     Unreachable,
 )
-from .unbounded import _HALF_PI, _axis_cos, _smooth_energy, _smooth_factor
+from .unbounded import _axis_cos, _smooth_energy, _smooth_factor
 
 __all__ = [
     "MIN_BOUND",
@@ -494,10 +496,6 @@ class PulseProgram:
         arcs and exceeds the bound strictly inside the saturated arc."""
         return self._law[1](theta)
 
-    def thetadot(self, theta: float) -> float:
-        s = math.sin(theta)
-        return self.control(theta) - s * math.cos(theta)
-
     def radius_at(self, theta: float) -> float:
         """Angle-parameterized closed-form radius along the program."""
         return _program_radius(self.m, self.kappa, self._saturated_interval(), theta)
@@ -573,6 +571,18 @@ class PulseProgram:
             )
         if not math.isinf(self.m):
             _require_bound(self.m)
+        # chained comparisons also reject NaN angles
+        theta_tau = self.target.theta
+        if self.theta1 is not None and not 0.0 < self.theta1 <= theta_tau:
+            raise ValueError(
+                f"theta1 must lie in (0, {theta_tau:.12g}], got {self.theta1}"
+            )
+        if self.theta2 is not None and not self.theta1 <= self.theta2 <= theta_tau:
+            raise ValueError(
+                f"theta2 must lie in [theta1, {theta_tau:.12g}], got {self.theta2}"
+            )
+        if self.theta1 is not None and math.isinf(self.m):
+            raise ValueError("a program with theta1 needs a finite bound m")
 
 
 def _saturated_interval(
@@ -803,8 +813,7 @@ class SwitchingGeometry:
             ("boundary", self.boundary),
             ("noswitch_max", self.no_switch_max),
         ):
-            row = f"{name},{_NUMBER},{_NUMBER}\n"
-            handle.write(row * len(curve) % tuple(curve.ravel().tolist()))
+            _write_rows(handle, f"{name},{_NUMBER},{_NUMBER}\n", curve)
 
 
 def sample_geometry(m: float, samples: int = 400) -> SwitchingGeometry:

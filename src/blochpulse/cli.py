@@ -260,10 +260,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DidNotConverge as exc:
         print(f"oracle did not converge: {exc}", file=sys.stderr)
         return 3
-    except BlochControlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (BlochControlError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

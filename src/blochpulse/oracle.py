@@ -74,8 +74,8 @@ class _Rollout:
     the running minimum distance: no later point can come closer, and the
     returned miss is the one the full tail would give.  States past the
     boundaries a committed probe reached are marched lazily, when a later
-    probe starts there.  Boundary 0, the start point on the unit sphere,
-    is fixed at construction.
+    probe starts there.  Boundary 0, the start point (r, theta) =
+    (1, THETA_START), is fixed at construction.
     """
 
     def __init__(
@@ -83,7 +83,6 @@ class _Rollout:
         n_segments: int,
         seg_dt: float,
         n_sub: int,
-        start_theta: float,
         target_theta: float,
         target_radius: float,
     ):
@@ -96,9 +95,9 @@ class _Rollout:
         self.settle_radius = math.hypot(self.z_t, self.y_t)
         self.settle_slack = 1e-9 * self.settle_radius
         start_dist = math.hypot(
-            math.cos(start_theta) - self.z_t, math.sin(start_theta) - self.y_t
+            math.cos(THETA_START) - self.z_t, math.sin(THETA_START) - self.y_t
         )
-        self.theta = [start_theta] + [0.0] * n_segments
+        self.theta = [THETA_START] + [0.0] * n_segments
         self.log_r = [0.0] * (n_segments + 1)
         self.min_dist = [start_dist] + [0.0] * n_segments
         self.valid = 0  # boundaries 0..valid hold the committed controls' states
@@ -201,19 +200,6 @@ class _Rollout:
         self.valid = stop - 1
 
 
-def _resample_control(program_trajectory, boundaries: np.ndarray, bound: float) -> np.ndarray:
-    """Average the simulated control over each segment window (0 past the end)."""
-    n = len(boundaries) - 1
-    out = np.empty(n)
-    t = program_trajectory.t
-    u = program_trajectory.u
-    for i in range(n):
-        probe = np.linspace(boundaries[i], boundaries[i + 1], 9)
-        vals = np.interp(probe, t, u, left=u[0], right=0.0)
-        out[i] = min(max(float(vals.mean()), 0.0), bound)
-    return out
-
-
 def oracle_transcription(
     m: float,
     target: PulseTarget,
@@ -253,14 +239,18 @@ def oracle_transcription(
     bound = m if math.isfinite(m) else max(1.0, 2.0 * float(trajectory.u.max()))
     seg_dt = horizon / n_segments
     n_sub = max(1, math.ceil(seg_dt / 0.03))
-    rollout = _Rollout(n_segments, seg_dt, n_sub, THETA_START, target_theta, target_radius)
+    rollout = _Rollout(n_segments, seg_dt, n_sub, target_theta, target_radius)
 
     boundaries = np.linspace(0.0, horizon, n_segments + 1)
     rng = np.random.default_rng(seed)
-    # the warm start from the synthesized control takes half the budget and
-    # a fine initial step; random restarts explore coarsely
+    # the warm start, the synthesized control averaged over 9 points of each
+    # segment window (0 past its end), takes half the budget and a fine
+    # initial step; random restarts explore coarsely
+    t, u = trajectory.t, trajectory.u
+    window = np.linspace(boundaries[:-1], boundaries[1:], 9, axis=1)
+    warm = np.clip(np.interp(window, t, u, left=u[0], right=0.0).mean(axis=1), 0.0, bound)
     warm_share = 0.5 if restarts > 0 else 1.0
-    starts = [(_resample_control(trajectory, boundaries, bound), bound / 64.0, warm_share)]
+    starts = [(warm, bound / 64.0, warm_share)]
     for _ in range(restarts):
         starts.append((rng.uniform(0.0, bound, n_segments), bound / 8.0, 0.5 / restarts))
 

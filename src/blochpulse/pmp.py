@@ -86,19 +86,15 @@ class HamiltonianCheck:
 
 
 def check_hamiltonian(program, tol: float = 1e-8) -> HamiltonianCheck:
-    """Largest |H| over a uniform 10,000-point angle grid spanning the program domain."""
+    """Largest |H| over a uniform 10,000-point angle grid spanning the program
+    domain; NaN, which fails the check, if H is NaN anywhere on it."""
     lo, hi = program.theta_domain
-    worst = 0.0
-    for theta in np.linspace(lo, hi, 10_000):
-        theta = float(theta)
-        value = abs(
-            control_hamiltonian(
-                program.control(theta), theta, program.costate(theta), program.lambda_a
-            )
-        )
-        if value > worst:
-            worst = value
-    return HamiltonianCheck(max_abs_h=worst, tol=tol)
+    lam_a = program.lambda_a
+    values = [
+        control_hamiltonian(program.control(theta), theta, program.costate(theta), lam_a)
+        for theta in np.linspace(lo, hi, 10_000).tolist()
+    ]
+    return HamiltonianCheck(max_abs_h=float(np.max(np.abs(values))), tol=tol)
 
 
 @dataclass(frozen=True)

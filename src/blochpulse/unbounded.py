@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bloch import PulseTarget
+from .bloch import PulseTarget, _HALF_PI
 from .errors import TargetOutOfRange
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "closed_energy",
     "UnboundedSolution",
 ]
-
-_HALF_PI = math.pi / 2
 
 
 def kappa_for_target(target: PulseTarget) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blochpulse import bloch
 from blochpulse.bloch import (
     THETA_START,
     CartesianState,
@@ -139,6 +140,22 @@ class TestIntegrator:
                 lambda theta: 0.0, PolarState(0.0, 0.3), math.pi / 2
             )
 
+    def test_nan_control_stalls(self, monkeypatch):
+        # a NaN angle rate is not positive; a low cap makes a regression fail fast
+        monkeypatch.setattr(bloch, "_MAX_STEPS", 1000)
+        with pytest.raises(StallDetected):
+            integrate_feedback(
+                lambda theta: math.nan if theta > 0.5 else 1.0,
+                PolarState(0.0, 0.3),
+                math.pi / 2,
+                StepControl(h=1e-2),
+            )
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(bloch, "_MAX_STEPS", 50)
+        with pytest.raises(StepTooLarge, match="exceeded 50 steps"):
+            integrate_feedback(lambda theta: 1.0, PolarState(0.0, 0.3), math.pi / 2)
+
     @pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
     def test_nonpositive_step_rejected(self, h):
         calls = []
@@ -147,7 +164,7 @@ class TestIntegrator:
                 lambda theta: calls.append(theta) or 1.0,
                 PolarState(0.0, 0.3),
                 math.pi / 2,
-                StepControl(h=h, max_steps=100),
+                StepControl(h=h),
             )
         assert calls == []  # rejected before the first step, not by the step cap
 

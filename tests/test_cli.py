@@ -119,6 +119,16 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, "simulate", "--pulse", str(tmp_path / "absent.json"))
         assert code == 1
 
+    def test_impossible_switching_angle_exit_code(self, capsys, tmp_path, example2):
+        raw = json.loads(example2.to_json())
+        raw["theta1"] = 5.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "simulate", "--pulse", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: theta1")
+
     def test_malformed_file_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"regime": "two"}')
@@ -147,6 +157,16 @@ class TestCurvesCommand:
         assert lines[0] == "curve,theta,r"
         names = {line.split(",")[0] for line in lines[1:]}
         assert names == {"first", "second", "boundary", "noswitch_max"}
+
+    def test_csv_file_matches_stdout(self, capsys, tmp_path):
+        path = tmp_path / "curves.csv"
+        _, out, _ = run(capsys, "curves", "--m", "2", "--samples", "20")
+        code, file_out, _ = run(
+            capsys, "curves", "--m", "2", "--samples", "20", "--csv", str(path)
+        )
+        assert code == 0
+        assert file_out == ""
+        assert path.read_bytes() == out.encode()
 
     def test_join_point(self, capsys):
         code, out, _ = run(capsys, "curves", "--m", "2", "--samples", "10")
@@ -256,6 +276,17 @@ class TestOracleCommand:
         assert raw["oracle"]["endpoint_error"] <= 1e-3
         assert raw["oracle"]["best_energy"] >= raw["synthesized_energy"] - 1e-2
 
+    def test_no_convergence_exit_code(self, capsys):
+        # one evaluation: the warm start alone stays far from the target
+        code, out, err = run(
+            capsys,
+            "oracle", "--m", "2", "--target", "pi", "--r-final", "0.39",
+            "--grid", "20", "--evals", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("oracle did not converge:")
+
 
 @pytest.mark.parametrize(
     "command",
@@ -312,3 +343,11 @@ class TestConfigFile:
         config.write_text("volume = 11\n")
         code, _, _ = run(capsys, "curves", "--m", "2", "--config", str(config))
         assert code == 1
+
+    def test_line_without_equals_rejected(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("samples = 7\nsamples 7\n")
+        code, out, err = run(capsys, "curves", "--m", "2", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert f"{config}:2: expected key=value" in err

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blochpulse import bounded
-from blochpulse.bloch import PulseTarget, energy_theta_quadrature
+from blochpulse.bloch import PulseTarget, energy_theta_quadrature, reduced_rhs
 from blochpulse.bounded import (
     Regime,
     classify,
@@ -189,7 +189,12 @@ def test_exact_landmark_radii(m):
 
 def _quadrature_energy(program):
     return sum(
-        energy_theta_quadrature(program.control, program.thetadot, seg.theta_lo, seg.theta_hi)
+        energy_theta_quadrature(
+            program.control,
+            lambda th: reduced_rhs(th, program.control(th))[1],
+            seg.theta_lo,
+            seg.theta_hi,
+        )
         for seg in program.segments
     )
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from blochpulse.bloch import THETA_START, PulseTarget
+from blochpulse.bloch import PulseTarget
 from blochpulse.bounded import reachable_boundary
 from blochpulse.errors import DidNotConverge
 from blochpulse.oracle import _Rollout, oracle_transcription
@@ -18,7 +18,6 @@ class TestRollout:
             n_segments=1,
             seg_dt=1.5,
             n_sub=64,
-            start_theta=THETA_START,
             target_theta=math.pi,
             target_radius=0.1,
         )
@@ -28,7 +27,7 @@ class TestRollout:
         assert r_end == pytest.approx(reachable_boundary(theta_end, m), abs=1e-6)
 
     def test_min_distance_monotone(self):
-        rollout = _Rollout(1, 1.0, 32, THETA_START, QUARTER, 0.6)
+        rollout = _Rollout(1, 1.0, 32, QUARTER, 0.6)
         rollout.reset([1.5])
         assert all(
             b <= a for a, b in zip(rollout.min_dist, rollout.min_dist[1:])
@@ -39,8 +38,8 @@ class TestRollout:
         # radius, so probes stop short; their miss and the states marched
         # lazily after each commit must equal those of a full rollout
         controls = [1.5] * 20 + [0.0] * 40
-        rollout = _Rollout(60, 0.1, 4, THETA_START, QUARTER, 0.6)
-        full = _Rollout(60, 0.1, 4, THETA_START, QUARTER, 0.6)
+        rollout = _Rollout(60, 0.1, 4, QUARTER, 0.6)
+        full = _Rollout(60, 0.1, 4, QUARTER, 0.6)
         rollout.reset(controls)
         stopped = 0
         for index, value in ((5, 1.35), (12, 1.6), (30, 0.2), (59, 0.1)):

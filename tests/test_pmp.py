@@ -123,6 +123,18 @@ class TestHamiltonianCheck:
         assert not check.passed
         assert check.max_abs_h > 1e-4
 
+    def test_nan_hamiltonian_fails(self, example2):
+        # a law that cannot be evaluated on part of the domain
+        view = SimpleNamespace(
+            lambda_a=example2.lambda_a,
+            theta_domain=example2.theta_domain,
+            control=lambda th: math.nan if 1.0 < th < 1.1 else example2.control(th),
+            costate=example2.costate,
+        )
+        check = check_hamiltonian(view)
+        assert math.isnan(check.max_abs_h)
+        assert not check.passed
+
 
 class TestAdjointCheck:
     def test_unbounded_program(self, unbounded_quarter):

@@ -282,6 +282,24 @@ class TestProgramSerialization:
         with pytest.raises((ValueError, KeyError, TargetOutOfRange)):
             PulseProgram.from_json(text)
 
+    @pytest.mark.parametrize(
+        "example, field, value",
+        [
+            ("example2", "theta1", math.nan),
+            ("example2", "theta1", 5.0),
+            ("example2", "theta1", -1.0),
+            ("example1", "theta2", math.nan),
+            ("example1", "theta2", 0.5),
+            ("example2", "m", None),
+        ],
+    )
+    def test_impossible_switching_angles_rejected(self, request, example, field, value):
+        # each document would load a different law than the one it names
+        raw = json.loads(request.getfixturevalue(example).to_json())
+        raw[field] = value
+        with pytest.raises(ValueError, match=field):
+            PulseProgram.from_json(json.dumps(raw))
+
 
 class TestSimulatedPrograms:
     def test_quarter_turn_simulation_hits_target(self, example2_trajectory, example2):
