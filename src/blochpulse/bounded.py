@@ -10,10 +10,11 @@ whose two roots theta1 <= theta2 satisfy cot(theta1) + cot(theta2) = 2/m.
 Sweeping kappa traces two switching curves in the (r, theta) plane: the
 first (entry) curve lies on the pre-switch smooth arcs, and the second
 (exit) curve is its image under the saturated-arc transport.  Synthesis for
-a given bound and final point reduces to classifying the final point
-against a handful of landmark radii and then locating the switching point
-where a required-radius curve crosses the matching switching curve.  The
-saturated arc's closed forms live here, the smooth arc's in ``unbounded``.
+a given bound and final point classifies the final point against a handful
+of landmark radii; a saturating regime then only sets the bracket of one
+root solve in log kappa, which matches the program's closed-form final
+radius to the target's.  The saturated arc's closed forms live here, the
+smooth arc's in ``unbounded``.
 
 Everything here works in the arccot convention with range [0, pi], so
 arccot(x) = pi - arccot(-x) for x < 0.
@@ -85,9 +86,10 @@ __all__ = [
 # the transverse plane, so no quarter- or half-turn transfer is possible.
 MIN_BOUND = 0.5
 
-# Largest relative miss of the final radius that ``synthesize`` accepts, and
+# Largest relative miss of a program's final radius, and of its energy
+# against the closed form, that ``synthesize`` and ``from_json`` accept; also
 # the largest |log mismatch| at which a bracket end counts as the crossing.
-_RADIUS_RTOL = 1e-9
+_RTOL = 1e-9
 # Lower end of the log-kappa bracket where the switching curves reach
 # kappa = 0 (m <= 1): far below the kappa of any representable target.
 _KAPPA_FLOOR = 1e-150
@@ -403,7 +405,11 @@ def required_second_switch_radius(
 
 def required_first_switch_radius(theta1: float, r_tau: float, m: float) -> float:
     """Entry radius needed so a saturated arc from ``theta1`` ends on
-    (r_tau, pi/2): the saturated transport run backwards from the target."""
+    (r_tau, pi/2): the saturated transport run backwards from the target.
+
+    Synthesis does not use it; on a one-switch program it meets
+    ``first_switch_radius`` at the program's entry angle.
+    """
     _require_bound(m)
     w = math.sqrt(4.0 * m * m - 1.0)
     amplitude = math.sqrt(2.0 * m / (2.0 * m - math.sin(2.0 * theta1)))
@@ -535,13 +541,22 @@ class PulseProgram:
             target = PulseTarget.from_label(raw["target"]["r"], raw["target"]["theta"])
             regime = Regime(raw["regime"])
             m = raw["m"]
+
+            def angle(key: str) -> Optional[float]:
+                # 12 digits write pi as 3.14159265359, just above it: snap
+                # back onto the target angle as PulseTarget does
+                if raw[key] is None:
+                    return None
+                value = float(raw[key])
+                return target.theta if abs(value - target.theta) <= 1e-9 else value
+
             program = cls(
                 m=math.inf if m is None else float(m),
                 target=target,
                 regime=regime,
                 kappa=float(raw["kappa"]),
-                theta1=None if raw["theta1"] is None else float(raw["theta1"]),
-                theta2=None if raw["theta2"] is None else float(raw["theta2"]),
+                theta1=angle("theta1"),
+                theta2=angle("theta2"),
                 energy=float(raw["energy"]),
             )
         except (KeyError, TypeError) as exc:
@@ -549,6 +564,7 @@ class PulseProgram:
         if not 0.0 < program.energy < math.inf:
             raise ValueError(f"energy must be finite and positive, got {program.energy}")
         program._validate_shape()
+        program._check_numbers(ValueError)
         return program
 
     @classmethod
@@ -569,8 +585,9 @@ class PulseProgram:
             raise ValueError(
                 f"switching angles inconsistent with regime {self.regime.value}"
             )
-        if not math.isinf(self.m):
-            _require_bound(self.m)
+        if self.m != math.inf and not self.m > MIN_BOUND:
+            raise ValueError(f"m must exceed {MIN_BOUND} or be null, got {self.m}")
+        unbounded._check_kappa(self.kappa)
         # chained comparisons also reject NaN angles
         theta_tau = self.target.theta
         if self.theta1 is not None and not 0.0 < self.theta1 <= theta_tau:
@@ -583,6 +600,23 @@ class PulseProgram:
             )
         if self.theta1 is not None and math.isinf(self.m):
             raise ValueError("a program with theta1 needs a finite bound m")
+
+    def _check_numbers(self, error: type[Exception]) -> None:
+        """Raise ``error`` unless the closed-form final radius meets the
+        target and the closed-form energy the stated one, both to 1e-9."""
+        target, sat = self.target, self._saturated_interval()
+        miss = _program_radius(self.m, self.kappa, sat, target.theta) / target.r - 1.0
+        if not abs(miss) <= _RTOL:
+            raise error(
+                f"program with kappa={self.kappa:.12g} misses the final radius by "
+                f"{miss:.3g} relative for r={target.r}, theta={target.label}, m={self.m}"
+            )
+        closed = _program_energy(self.m, self.kappa, sat, target.theta)
+        if not abs(self.energy / closed - 1.0) <= _RTOL:
+            raise error(
+                f"energy {self.energy:.12g} differs from the program's closed-form "
+                f"energy {closed:.12g} by {self.energy / closed - 1.0:.3g} relative"
+            )
 
 
 def _saturated_interval(
@@ -642,14 +676,14 @@ def _program_energy(
 def _bracketed_root(g: Callable[[float], float], a: float, b: float) -> Optional[float]:
     """Root of ``g`` on [a, b] by Brent's method, or None without a crossing.
 
-    An end where |g| <= _RADIUS_RTOL is taken as the root when g has the
+    An end where |g| <= _RTOL is taken as the root when g has the
     same sign at both ends: a target exactly on a landmark radius puts the
     crossing on a bracket end, where rounding decides the sign of g.
     """
     fa, fb = g(a), g(b)
     if fa * fb > 0.0:
         end, f_end = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        return end if abs(f_end) <= _RADIUS_RTOL else None
+        return end if abs(f_end) <= _RTOL else None
     c, fc = a, fa
     d = e = b - a
     # Brent needs a few dozen steps at most; the cap only bounds a g gone
@@ -689,23 +723,29 @@ def _bracketed_root(g: Callable[[float], float], a: float, b: float) -> Optional
     return b
 
 
-def solve_two_switch(m: float, target: PulseTarget) -> PulseProgram:
-    """Locate the costate constant of a two-switch transfer.
+def _solve_log_kappa(m: float, target: PulseTarget, regime: Regime) -> PulseProgram:
+    """The saturating program of ``regime`` that ends on ``target``.
 
     Both switching angles follow from kappa, so one bracketed root solve in
-    log kappa matches the closed-form final radius to the target's.  The
-    bracket runs from the curve join (kappa = sqrt(m^2 - 1), or a tiny
-    floor when the curves reach kappa = 0) to the kappa whose exit angle
-    lies on the target axis.
+    log kappa matches the closed-form final radius to the target's; an exit
+    angle past the target angle leaves the arc saturated up to it.  The
+    regime only chooses the bracket.  Two switches: from the curve join
+    (kappa = sqrt(m^2 - 1), or a tiny floor when the curves reach kappa = 0)
+    to the kappa whose exit angle lies on the target axis.  One switch: from
+    the kappa whose exit angle is pi/2 to the one whose entry angle is 1e-12.
     """
-    regime = classify(m, target)
-    if regime is not Regime.TWO_SWITCH:
+    actual = classify(m, target)
+    if actual is not regime:
         raise ValueError(
             f"target (r={target.r}, theta={target.label}) with m={m} is in the "
-            f"{regime.value!r} regime, not 'two'"
+            f"{actual.value!r} regime, not {regime.value!r}"
         )
-    lo = math.log(max(math.sqrt(max((m - 1.0) * (m + 1.0), 0.0)), _KAPPA_FLOOR))
-    hi = math.log(kappa_from_switch(target.theta, m, "second"))
+    if regime is Regime.TWO_SWITCH:
+        lo = math.log(max(math.sqrt(max((m - 1.0) * (m + 1.0), 0.0)), _KAPPA_FLOOR))
+        hi = math.log(kappa_from_switch(target.theta, m, "second"))
+    else:
+        lo = math.log(kappa_from_switch(_HALF_PI, m, "second"))
+        hi = math.log(kappa_from_switch(1e-12, m, "first"))
     log_r = math.log(target.r)
 
     def mismatch(log_kappa: float) -> float:
@@ -716,45 +756,31 @@ def solve_two_switch(m: float, target: PulseTarget) -> PulseProgram:
     root = _bracketed_root(mismatch, lo, hi)
     if root is None:
         raise NoBracket(
-            f"no crossing with the exit switching curve for kappa in "
-            f"[{math.exp(lo):.9g}, {math.exp(hi):.9g}] "
+            f"no {regime.value}-switch program reaches the final radius for kappa "
+            f"in [{math.exp(lo):.9g}, {math.exp(hi):.9g}] "
             f"for r={target.r}, theta={target.label}, m={m}"
         )
     kappa = math.exp(root)
     theta1, theta2 = switching_angles(kappa, m)
+    if regime is Regime.ONE_SWITCH:
+        return _program(m, target, regime, kappa, theta1)
     # at the axis end of the bracket rounding can put theta2 an ulp past it
-    theta2 = min(theta2, target.theta)
-    return _program(m, target, Regime.TWO_SWITCH, kappa, theta1, theta2)
+    return _program(m, target, regime, kappa, theta1, min(theta2, target.theta))
+
+
+def solve_two_switch(m: float, target: PulseTarget) -> PulseProgram:
+    """Locate the costate constant of a two-switch transfer.
+
+    Raises ValueError for a target of another regime and NoBracket when the
+    log-kappa bracket holds no crossing.
+    """
+    return _solve_log_kappa(m, target, Regime.TWO_SWITCH)
 
 
 def solve_one_switch(m: float, r_tau: float) -> PulseProgram:
-    """Locate the entry switching angle for a one-switch quarter turn.
-
-    One bracketed root solve over the entry curve matches the log of the
-    entry radius to the log of the radius the saturated arc needs.
-    """
-    target = PulseTarget(r_tau, _HALF_PI)
-    regime = classify(m, target)
-    if regime is not Regime.ONE_SWITCH:
-        raise ValueError(
-            f"target (r={r_tau}, theta=pi/2) with m={m} is in the "
-            f"{regime.value!r} regime, not 'one'"
-        )
-    hi = _switch_angle_limits(m)[0]
-
-    def mismatch(theta1: float) -> float:
-        return math.log(
-            first_switch_radius(theta1, m) / required_first_switch_radius(theta1, r_tau, m)
-        )
-
-    theta1 = _bracketed_root(mismatch, 1e-12, hi)
-    if theta1 is None:
-        raise NoBracket(
-            f"no crossing with the entry switching curve on (0, {hi:.9g}] "
-            f"for r={r_tau}, m={m}"
-        )
-    kappa = kappa_from_switch(theta1, m, "first")
-    return _program(m, target, Regime.ONE_SWITCH, kappa, theta1)
+    """Locate the costate constant of a one-switch quarter turn; raises as
+    ``solve_two_switch`` does."""
+    return _solve_log_kappa(m, PulseTarget(r_tau, _HALF_PI), Regime.ONE_SWITCH)
 
 
 def synthesize(m: float, target: PulseTarget) -> PulseProgram:
@@ -763,8 +789,8 @@ def synthesize(m: float, target: PulseTarget) -> PulseProgram:
     ``m = math.inf`` selects the unlimited-amplitude branch.  The no-switch
     regime reuses the unlimited-amplitude costate constant, whose smooth law
     never touches the bound there.  The program's closed-form final radius
-    is checked against the target: a relative miss above 1e-9 raises
-    NoBracket instead of returning a wrong program.
+    and energy are checked as ``from_json`` checks them: a relative miss
+    above 1e-9 raises NoBracket instead of returning a wrong program.
     """
     regime = classify(m, target)
     if regime is Regime.UNREACHABLE:
@@ -781,12 +807,7 @@ def synthesize(m: float, target: PulseTarget) -> PulseProgram:
         program = solve_two_switch(m, target)
     else:
         program = solve_one_switch(m, target.r)
-    miss = program.radius_at(target.theta) / target.r - 1.0
-    if not abs(miss) <= _RADIUS_RTOL:
-        raise NoBracket(
-            f"program misses the final radius by {miss:.3g} relative "
-            f"for r={target.r}, theta={target.label}, m={m}"
-        )
+    program._check_numbers(NoBracket)
     return program
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from blochpulse.bounded import landmarks
+from blochpulse.bounded import Regime, _program, landmarks
 from blochpulse.cli import main
 
 QUARTER = math.pi / 2
@@ -254,13 +254,33 @@ class TestVerifyCommand:
         assert raw["oracle"] is None
 
     def test_corrupted_program_fails(self, capsys, tmp_path, example2):
-        raw = json.loads(example2.to_json())
-        # lowering kappa pushes the saturated-arc costate below the bound
-        raw["kappa"] -= 1e-2
+        # an entry angle moved earlier, with kappa refit so that the document
+        # still meets its radius and energy, saturates where the costate is
+        # below the bound
+        theta1 = example2.theta1 - 1e-2
+        lo, hi = 0.5 * example2.kappa, 2.0 * example2.kappa
+        for _ in range(100):  # bisection: the final radius grows with kappa
+            kappa = 0.5 * (lo + hi)
+            broken = _program(2.0, example2.target, Regime.ONE_SWITCH, kappa, theta1)
+            if broken.radius_at(QUARTER) > example2.target.r:
+                hi = kappa
+            else:
+                lo = kappa
         pulse = tmp_path / "broken.json"
-        pulse.write_text(json.dumps(raw))
+        broken.save(pulse)
         code, out, _ = run(capsys, "verify", "--pulse", str(pulse), "--step", "1e-3")
         assert code == 3
+        assert "costate exceeds bound inside saturation: False" in out
+
+    def test_edited_kappa_exit_code(self, capsys, tmp_path, example2):
+        raw = json.loads(example2.to_json())
+        raw["kappa"] -= 1e-2
+        pulse = tmp_path / "edited.json"
+        pulse.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "verify", "--pulse", str(pulse))
+        assert code == 1
+        assert out == ""
+        assert "kappa" in err
 
 
 class TestOracleCommand:

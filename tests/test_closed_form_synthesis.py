@@ -17,7 +17,9 @@ from blochpulse.bloch import PulseTarget, energy_theta_quadrature, reduced_rhs
 from blochpulse.bounded import (
     Regime,
     classify,
+    first_switch_radius,
     landmarks,
+    required_first_switch_radius,
     switching_angles,
     synthesize,
 )
@@ -173,18 +175,38 @@ def test_switching_angles_resolve_tiny_kappa_at_unit_bound():
 
 @pytest.mark.parametrize("m", BOUNDS)
 def test_exact_landmark_radii(m):
+    # every landmark radius and the doubles on either side, on both axes:
+    # a target beyond the axis limit is Unreachable, any other one is met
     lm = landmarks(m)
-    cases = [(lm.r_c1, math.pi), (lm.r_d1, QUARTER), (lm.r_d2, QUARTER)]
-    if lm.r_c2 is not None:
-        cases.append((math.nextafter(lm.r_c2, 1.0), math.pi))
-        cases.append((math.nextafter(lm.r_d3, 1.0), QUARTER))
-    for r, theta in cases:
-        if r < SMALLEST_RADIUS:
+    for key, value in lm.as_dict().items():
+        if not key.startswith("r_"):
             continue
-        target = PulseTarget(r, theta)
-        program = synthesize(m, target)
-        assert program.regime is classify(m, target)
-        assert reference_miss(program) <= RADIUS_RTOL, (m, r, theta)
+        for r in (math.nextafter(value, 0.0), value, math.nextafter(value, 1.0)):
+            for theta in AXES:
+                if not SMALLEST_RADIUS <= r < 1.0:
+                    continue
+                target = PulseTarget(r, theta)
+                if r > _limit(m, theta):
+                    with pytest.raises(Unreachable):
+                        synthesize(m, target)
+                    continue
+                program = synthesize(m, target)
+                assert program.regime is classify(m, target)
+                assert reference_miss(program) <= RADIUS_RTOL, (m, key, r, theta)
+
+
+@pytest.mark.parametrize("m", [m for m in BOUNDS if landmarks(m).r_d1 >= SMALLEST_RADIUS])
+def test_one_switch_entry_radius_meets_required_radius(m):
+    # the solve runs in log kappa; the entry-angle formulation stays the
+    # reference: the entry curve meets the saturated arc run back from target
+    lm = landmarks(m)
+    for fraction in (1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0):
+        r = lm.r_d2 + fraction * (lm.r_d1 - lm.r_d2)
+        program = synthesize(m, PulseTarget(r, QUARTER))
+        assert program.regime is Regime.ONE_SWITCH
+        entry = first_switch_radius(program.theta1, m)
+        required = required_first_switch_radius(program.theta1, r, m)
+        assert entry == pytest.approx(required, rel=RADIUS_RTOL, abs=0.0), (m, r)
 
 
 def _quadrature_energy(program):

@@ -291,6 +291,7 @@ class TestProgramSerialization:
             ("example1", "theta2", math.nan),
             ("example1", "theta2", 0.5),
             ("example2", "m", None),
+            ("unbounded_quarter", "m", -math.inf),
         ],
     )
     def test_impossible_switching_angles_rejected(self, request, example, field, value):
@@ -299,6 +300,35 @@ class TestProgramSerialization:
         raw[field] = value
         with pytest.raises(ValueError, match=field):
             PulseProgram.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize(
+        "example, field, factor",
+        [
+            ("example1", "kappa", 1.0 + 1e-6),
+            ("example2", "kappa", 0.4),
+            ("example3", "kappa", 1.0 - 1e-6),
+            ("unbounded_quarter", "kappa", 1.0 + 1e-6),
+            ("example1", "kappa", -1.0),
+            ("example1", "energy", 1.0 + 1e-8),
+            ("example2", "energy", 4.0),
+            ("unbounded_quarter", "energy", 1.0 - 1e-8),
+        ],
+    )
+    def test_edited_numbers_rejected(self, request, example, field, factor):
+        # a document must meet synthesize's post-condition: its radius and
+        # its energy both agree with the closed forms to 1e-9
+        raw = json.loads(request.getfixturevalue(example).to_json())
+        raw[field] *= factor
+        with pytest.raises(ValueError, match=field):
+            PulseProgram.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("m", [0.51, 2.0, 1e4])
+    def test_half_turn_at_reach_limit_round_trips(self, m):
+        # theta2 = pi is written as 3.14159265359, just above pi
+        program = synthesize(m, PulseTarget(landmarks(m).r_c1, math.pi))
+        assert program.theta2 == math.pi
+        text = program.to_json()
+        assert PulseProgram.from_json(text).to_json() == text
 
 
 class TestSimulatedPrograms:
