@@ -38,8 +38,10 @@ from .bloch import (
     PulseTarget,
     StepControl,
     Trajectory,
+    _EPS_STOP,
     _HALF_PI,
     _json,
+    _MAX_STEPS,
     _NUMBER,
     _write_rows,
     energy_theta_quadrature,  # noqa: F401 -- not called; blochbench's tracer patches it here
@@ -51,9 +53,10 @@ from .errors import (
     DegenerateKappa,
     NoBracket,
     NoRealSwitch,
+    StepTooLarge,
     Unreachable,
 )
-from .unbounded import _axis_cos, _smooth_energy, _smooth_factor
+from .unbounded import _axis_cos, _smooth_clock, _smooth_energy, _smooth_factor
 
 __all__ = [
     "MIN_BOUND",
@@ -507,8 +510,20 @@ class PulseProgram:
         return _program_radius(self.m, self.kappa, self._saturated_interval(), theta)
 
     def simulate(self, step: StepControl = StepControl()) -> Trajectory:
-        """Closed-loop run of the program from (r, theta) = (1, THETA_START)."""
+        """Closed-loop run of the program from (r, theta) = (1, THETA_START).
+
+        Raises StepTooLarge before the run when the closed-form clock puts
+        the stop angle more than _MAX_STEPS steps away.
+        """
         control, costate = self._law
+        stop = self.target.theta - _EPS_STOP
+        if self.kappa > 0.0:  # kappa = 0 has no closed-form clock; the run's cap applies
+            duration = _program_time(self.m, self.kappa, self._saturated_interval(), stop)
+            if duration > _MAX_STEPS * step.h > 0.0:
+                raise StepTooLarge(
+                    f"step {step.h:g} needs about {duration / step.h:.3g} steps to "
+                    f"reach theta={stop:.9g}, more than {_MAX_STEPS}"
+                )
         return integrate_feedback(
             control,
             PolarState(a=0.0, theta=THETA_START),
@@ -656,6 +671,54 @@ def _program_radius(
         return saturated_arc_radius(r1, sat[0], theta, m)
     r2 = saturated_arc_radius(r1, sat[0], sat[1], m)
     return r2 * _smooth_factor(c, kappa) / _smooth_factor(_axis_cos(sat[1]), kappa)
+
+
+def _program_time(
+    m: float, kappa: float, sat: Optional[tuple[float, float]], theta: float
+) -> float:
+    """Closed-form closed-loop time from THETA_START to ``theta`` (kappa > 0).
+
+    A saturated arc, where dtheta/dt = m - sin cos, takes 2/w times its
+    transport exponent, with w = sqrt(4 m^2 - 1); an entry angle below
+    THETA_START leaves the run saturated from its start.
+    """
+    s = math.sqrt(1.0 + kappa * kappa)
+    start = _smooth_clock(THETA_START, kappa, s)
+    if sat is None or theta <= sat[0]:
+        return start - _smooth_clock(theta, kappa, s)
+    lo, hi = max(sat[0], THETA_START), sat[1]
+    t1 = start - _smooth_clock(lo, kappa, s)
+    w = math.sqrt(4.0 * m * m - 1.0)
+    if theta <= hi:
+        return t1 + 2.0 * _transport_exponent(lo, theta, m) / w
+    t2 = t1 + 2.0 * _transport_exponent(lo, hi, m) / w
+    return t2 + _smooth_clock(hi, kappa, s) - _smooth_clock(theta, kappa, s)
+
+
+def _program_angle(
+    m: float, kappa: float, sat: Optional[tuple[float, float]], t: float
+) -> float:
+    """Angle the closed loop reaches at time ``t``; inverts ``_program_time``.
+
+    A smooth arc inverts G as theta = atan2(s, kappa sinh(s G)).  On a
+    saturated arc the phase arccot((2 m cot(theta) - 1) / w) grows at the
+    rate w / 2, and theta = atan2(2 m sin(phase), w cos(phase) + sin(phase)).
+    """
+    s = math.sqrt(1.0 + kappa * kappa)
+    start = _smooth_clock(THETA_START, kappa, s)  # G(theta) + t on the arc holding t
+    if sat is not None:
+        lo, hi = max(sat[0], THETA_START), sat[1]
+        t1 = start - _smooth_clock(lo, kappa, s)
+        if t > t1:
+            w = math.sqrt(4.0 * m * m - 1.0)
+            t2 = t1 + 2.0 * _transport_exponent(lo, hi, m) / w
+            if t <= t2:
+                phase = arccot((2.0 * m * cot(lo) - 1.0) / w) + 0.5 * w * (t - t1)
+                return math.atan2(
+                    2.0 * m * math.sin(phase), w * math.cos(phase) + math.sin(phase)
+                )
+            start = _smooth_clock(hi, kappa, s) + t2
+    return math.atan2(s, kappa * math.sinh(s * (start - t)))
 
 
 def _program_energy(

@@ -8,10 +8,12 @@ If the search - warm-started from the synthesized control and from seeded
 random restarts - never lands below the synthesized energy, that is the
 strongest optimality evidence available at desk scale.
 
-Because the final time is free, the horizon is taken generously (three
-times the closed-loop 99%-progress time) and the endpoint error is the
-minimum distance to the target over the whole rollout; trailing segments
-then relax to zero control on their own, since they only add energy.
+Because the final time is free, the horizon is taken generously: three
+times the closed-loop time to 99% of the turn, read off the program's
+closed-form clock (each arc's elapsed time is elementary in the angle), so
+no closed-loop run is simulated.  The endpoint error is the minimum
+distance to the target over the whole rollout; trailing segments then
+relax to zero control on their own, since they only add energy.
 Half-turn targets are approached asymptotically, so the search aims at the
 angle pi - 1e-3 with the radius mapped through the program's final smooth
 arc; the mapped target is declared in the result.
@@ -25,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import THETA_START, PulseTarget, _json
-from .bounded import PulseProgram, synthesize
+from .bloch import _EPS_STOP, THETA_START, PulseTarget, _json
+from .bounded import PulseProgram, _program_angle, _program_time, synthesize
 from .errors import DidNotConverge
 
 __all__ = ["OracleResult", "oracle_transcription"]
@@ -224,7 +226,6 @@ def oracle_transcription(
     if program is None:
         program = synthesize(m, target)
 
-    trajectory = program.simulate()
     if target.is_inversion:
         target_theta = math.pi - 1e-3
         target_radius = program.radius_at(target_theta)
@@ -232,11 +233,14 @@ def oracle_transcription(
         target_theta = target.theta
         target_radius = target.r
 
+    clock = program.m, program.kappa, program._saturated_interval()
     progress_angle = THETA_START + 0.99 * (target_theta - THETA_START)
-    idx = min(int(np.searchsorted(trajectory.theta, progress_angle)), len(trajectory) - 1)
-    horizon = 3.0 * float(trajectory.t[idx])
+    horizon = 3.0 * _program_time(*clock, progress_angle)
+    run_end = _program_time(*clock, program.target.theta - _EPS_STOP)
 
-    bound = m if math.isfinite(m) else max(1.0, 2.0 * float(trajectory.u.max()))
+    # sqrt(1 + kappa^2) is the smooth law's maximum, at cos^2 = 1 / (2 + kappa^2)
+    kappa = program.kappa
+    bound = m if math.isfinite(m) else max(1.0, 2.0 * math.sqrt(1.0 + kappa * kappa))
     seg_dt = horizon / n_segments
     n_sub = max(1, math.ceil(seg_dt / 0.03))
     rollout = _Rollout(n_segments, seg_dt, n_sub, target_theta, target_radius)
@@ -244,11 +248,14 @@ def oracle_transcription(
     boundaries = np.linspace(0.0, horizon, n_segments + 1)
     rng = np.random.default_rng(seed)
     # the warm start, the synthesized control averaged over 9 points of each
-    # segment window (0 past its end), takes half the budget and a fine
+    # segment window (0 past the run's end), takes half the budget and a fine
     # initial step; random restarts explore coarsely
-    t, u = trajectory.t, trajectory.u
     window = np.linspace(boundaries[:-1], boundaries[1:], 9, axis=1)
-    warm = np.clip(np.interp(window, t, u, left=u[0], right=0.0).mean(axis=1), 0.0, bound)
+    law = [
+        program.control(_program_angle(*clock, t)) if t <= run_end else 0.0
+        for t in window.ravel().tolist()
+    ]
+    warm = np.clip(np.reshape(law, window.shape).mean(axis=1), 0.0, bound)
     warm_share = 0.5 if restarts > 0 else 1.0
     starts = [(warm, bound / 64.0, warm_share)]
     for _ in range(restarts):

@@ -8,7 +8,8 @@ indexed by the non-negative constant kappa (the log-radius costate equals
 kappa^2/2).  Along the closed loop the angle rate and the traced radius
 have closed forms, so the single unknown kappa follows directly from the
 requested final point, as does the pulse energy.  These smooth-arc closed
-forms (``_smooth_factor``, ``_smooth_energy``) serve bounded programs too.
+forms (``_smooth_factor``, ``_smooth_energy``, ``_smooth_clock``) serve
+bounded programs too.
 """
 
 from __future__ import annotations
@@ -96,6 +97,17 @@ def _smooth_energy(lo: float, hi: float, kappa: float) -> float:
         return 0.5 * c * _smooth_factor(c, kappa)
 
     return antiderivative(lo) - antiderivative(hi)
+
+
+def _smooth_clock(theta: float, kappa: float, s: float) -> float:
+    """G(theta) = asinh(s cot(theta) / kappa) / s, with s = sqrt(1 + kappa^2).
+
+    A smooth arc turns from lo to theta in G(lo) - G(theta), since
+    dtheta/dt = sin(theta) sqrt(cos^2(theta) + kappa^2) there.  G equals
+    ln(P/M) / (2 s), with P, M = q +- s cos(theta) and
+    q = sqrt(cos^2(theta) + kappa^2), in a form free of cancellation.
+    """
+    return math.asinh(s * _axis_cos(theta) / (kappa * math.sin(theta))) / s
 
 
 def _check_kappa(kappa: float) -> None:

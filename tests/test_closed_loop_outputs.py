@@ -111,10 +111,10 @@ STDOUT_GOLDEN = {
     "verify --pulse inf:pi2:0.6 --step 1e-3": "a57a63477e8c993842ad0dc9fb1d8cd9bcc7329f599f0987f7b11558b3a9d435",
     "verify --pulse 10:pi:0.5 --step 1e-3": "e730cee9b1bc90c59f6d3e7910bbc40be8dfceec11e00a318cfd042df94a45d8",
     "verify --pulse 0.6:pi2:0.005 --step 1e-3": "b8ae57cfd2230b994a6cc046da576bf934f2bcfe81692b34ddbabe8f533ed500",
-    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3": "359919dd27d0356d4806814d8fc2356eb873c990d1735d3568132db015892b2b",
-    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3 --json": "0c08a74992b988559f3a3bbd9f7d2e9fbefc5376d1ae70db5296a27a76858dea",
-    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3": "1c971bbfd6f37a0cb1c137aad5ee014c219f5a322305e71feff96877c4ba36f6",
-    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3 --json": "d4f84aeedfef2d6afd2c528e54c2b21ed48c23c8f495613868c4d8377d64a57b",
+    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3": "b337d0fe2c9a21794c17f30c14a64277701f0618929db4f6b813637cadbd9bcb",
+    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3 --json": "11b3c56af19801ff699517c1974390816547cf1b0c970690282f39e33ffd1ad6",
+    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3": "90b312ae67e939b55f75bce6e3fd9e61c10d52337205ccf211209c72f1c84349",
+    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3 --json": "d761f12bf5cd36ea24e4a3c389a813b7d8f1321ffe851f982d0901a926f3c562",
 }
 
 

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from blochpulse import bounded
 from blochpulse.bloch import PulseTarget
-from blochpulse.bounded import reachable_boundary
+from blochpulse.bounded import PulseProgram, reachable_boundary
 from blochpulse.errors import DidNotConverge
 from blochpulse.oracle import _Rollout, oracle_transcription
 
@@ -102,6 +103,20 @@ class TestTranscriptionSearch:
         # the mapped radius sits on the program's final smooth arc
         assert result.target_radius == pytest.approx(
             example1.radius_at(math.pi - 1e-3), rel=1e-12
+        )
+        assert result.endpoint_error <= 1e-3
+
+    @pytest.mark.parametrize("m, r, theta", [(2.0, 0.39, math.pi), (math.inf, 0.6, QUARTER)])
+    def test_runs_no_simulation(self, monkeypatch, m, r, theta):
+        # the horizon, the warm start and the unlimited bound come from the
+        # closed-form clock and law
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle_transcription simulated the program")
+
+        monkeypatch.setattr(PulseProgram, "simulate", refuse)
+        monkeypatch.setattr(bounded, "integrate_feedback", refuse)
+        result = oracle_transcription(
+            m, PulseTarget(r, theta), n_segments=40, evaluations=600, seed=3
         )
         assert result.endpoint_error <= 1e-3
 
