@@ -44,8 +44,19 @@ def _parse_bound(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid control bound {text!r}") from None
 
 
-def _bool_from_text(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _bool_from_text(key: str, text: str) -> bool:
+    try:
+        return _BOOL_WORDS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(
+            f"config key {key!r} takes 1/true/yes/on or 0/false/no/off, got {text!r}"
+        ) from None
 
 
 def _read_config(path: str) -> dict:
@@ -82,7 +93,7 @@ def _apply_config(subcommands: dict, command: str, path: str) -> None:
             raise ValueError(f"unknown config key {key!r}")
         if key in chosen:
             # store_true flags take no value, so argparse has no type for them
-            defaults[key] = _bool_from_text(raw) if chosen[key].nargs == 0 else raw
+            defaults[key] = _bool_from_text(key, raw) if chosen[key].nargs == 0 else raw
     subcommands[command].set_defaults(**defaults)
 
 

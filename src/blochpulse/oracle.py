@@ -4,9 +4,13 @@ The synthesized feedback laws satisfy necessary conditions only, so the
 package ships an independent check: a derivative-free search over
 piecewise-constant controls on a fixed horizon, scored by exact quadrature
 energy plus a penalty on the distance of closest approach to the target.
-If the search - warm-started from the synthesized control and from seeded
-random restarts - never lands below the synthesized energy, that is the
-strongest optimality evidence available at desk scale.
+Under a constant control the planar equations are linear, so a candidate
+is rolled out with their exact 2x2 propagator, with no integration error;
+only the closest approach, taken on the chords between sub-steps of at
+most 0.03, is sampled.  If the search - warm-started from the synthesized
+control and from seeded random restarts - never lands below the
+synthesized energy, that is the strongest optimality evidence available at
+desk scale.
 
 Because the final time is free, the horizon is taken generously: three
 times the closed-loop time to 99% of the turn, read off the program's
@@ -69,15 +73,23 @@ class OracleResult:
 class _Rollout:
     """Piecewise-constant rollout of the planar dynamics with tail caching.
 
-    Keeps the states and running minimum target distance at every segment
-    boundary so that re-evaluating a candidate that changes segment i only
-    costs the tail i..n-1.  The radius never grows, so a probe stops at the
+    Under a constant control u the planar equations are linear in the
+    Cartesian point, d(z, y)/dt = A (z, y) with A = [[0, -u], [u, -1]].
+    Since (A + I/2)^2 = (1/4 - u^2) I, the sub-step propagator is
+    exp(A h) = e^(-h/2) [[C + S/2, -u S], [u S, C - S/2]] with
+    g = sqrt|1/4 - u^2| and C = cosh(g h), S = sinh(g h) / g below u = 1/2,
+    C = cos(g h), S = sin(g h) / g above it and C = 1, S = h at u = 1/2.
+    It is formed once per segment, and a sub-step is then four multiplies
+    and two adds, exact up to rounding for any sub-step count.  Keeps the
+    states and running minimum target distance at every segment boundary
+    so that re-evaluating a candidate that changes segment i only costs
+    the tail i..n-1.  The radius never grows, so a probe stops at the
     first boundary whose radius is already below the target's by more than
     the running minimum distance: no later point can come closer, and the
     returned miss is the one the full tail would give.  States past the
     boundaries a committed probe reached are marched lazily, when a later
-    probe starts there.  Boundary 0, the start point (r, theta) =
-    (1, THETA_START), is fixed at construction.
+    probe starts there.  Boundary 0, the start point at unit radius and
+    angle THETA_START, is fixed at construction.
     """
 
     def __init__(
@@ -96,12 +108,10 @@ class _Rollout:
         # rounding of the rolled-out points is far below this relative slack
         self.settle_radius = math.hypot(self.z_t, self.y_t)
         self.settle_slack = 1e-9 * self.settle_radius
-        start_dist = math.hypot(
-            math.cos(THETA_START) - self.z_t, math.sin(THETA_START) - self.y_t
-        )
-        self.theta = [THETA_START] + [0.0] * n_segments
-        self.log_r = [0.0] * (n_segments + 1)
-        self.min_dist = [start_dist] + [0.0] * n_segments
+        z0, y0 = math.cos(THETA_START), math.sin(THETA_START)
+        self.z = [z0] + [0.0] * n_segments
+        self.y = [y0] + [0.0] * n_segments
+        self.min_dist = [math.hypot(z0 - self.z_t, y0 - self.y_t)] + [0.0] * n_segments
         self.valid = 0  # boundaries 0..valid hold the committed controls' states
 
     def _advance(self, controls, first: int, value: float, end: int, settle: bool):
@@ -114,47 +124,36 @@ class _Rollout:
         ``settle`` the march ends early at a boundary past which the miss
         cannot change; the tail then covers only the boundaries reached.
         """
-        sin, cos, exp, hypot = math.sin, math.cos, math.exp, math.hypot
+        hypot = math.hypot
         dt = self.dt
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        th = self.theta[first]
-        aa = self.log_r[first]
+        decay = math.exp(-0.5 * dt)
+        z0 = self.z[first]
+        y0 = self.y[first]
         best = self.min_dist[first]
         z_t, y_t = self.z_t, self.y_t
         settle_radius, settle_slack = self.settle_radius, self.settle_slack
-        r = exp(aa)
-        z0 = r * cos(th)
-        y0 = r * sin(th)
 
-        tail_theta = []
-        tail_log_r = []
+        tail_z = []
+        tail_y = []
         tail_min = []
         for k in range(first, end):
-            if settle and settle_radius - r > best + settle_slack:
+            if settle and settle_radius - hypot(z0, y0) > best + settle_slack:
                 break
             u = value if k == first else controls[k]
+            # g as a product of roots does not overflow at the largest bounds
+            g = math.sqrt(abs(0.5 - u)) * math.sqrt(0.5 + u)
+            if u < 0.5:
+                c, s = math.cosh(g * dt), math.sinh(g * dt) / g
+            elif u > 0.5:
+                c, s = math.cos(g * dt), math.sin(g * dt) / g
+            else:
+                c, s = 1.0, dt
+            zz = decay * (c + 0.5 * s)
+            yy = decay * (c - 0.5 * s)
+            yz = decay * u * s
             for _ in range(self.n_sub):
-                s = sin(th)
-                k1t = u - s * cos(th)
-                k1a = -s * s
-                t2 = th + half * k1t
-                s = sin(t2)
-                k2t = u - s * cos(t2)
-                k2a = -s * s
-                t3 = th + half * k2t
-                s = sin(t3)
-                k3t = u - s * cos(t3)
-                k3a = -s * s
-                t4 = th + dt * k3t
-                s = sin(t4)
-                k4t = u - s * cos(t4)
-                k4a = -s * s
-                th += sixth * (k1t + 2.0 * (k2t + k3t) + k4t)
-                aa += sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-                r = exp(aa)
-                z1 = r * cos(th)
-                y1 = r * sin(th)
+                z1 = zz * z0 - yz * y0
+                y1 = yz * z0 + yy * y0
                 # distance from the target to the chord (z0,y0)-(z1,y1)
                 dz = z1 - z0
                 dy = y1 - y0
@@ -171,10 +170,10 @@ class _Rollout:
                 if d < best:
                     best = d
                 z0, y0 = z1, y1
-            tail_theta.append(th)
-            tail_log_r.append(aa)
+            tail_z.append(z0)
+            tail_y.append(y0)
             tail_min.append(best)
-        return best, tail_theta, tail_log_r, tail_min
+        return best, tail_z, tail_y, tail_min
 
     def reset(self, controls) -> float:
         tail = self._advance(controls, 0, controls[0], self.n, False)
@@ -194,10 +193,10 @@ class _Rollout:
 
     def commit(self, first: int, tail) -> None:
         """Store the tail states of a march or probe that started at ``first``."""
-        _, tail_theta, tail_log_r, tail_min = tail
-        stop = first + 1 + len(tail_theta)
-        self.theta[first + 1 : stop] = tail_theta
-        self.log_r[first + 1 : stop] = tail_log_r
+        _, tail_z, tail_y, tail_min = tail
+        stop = first + 1 + len(tail_z)
+        self.z[first + 1 : stop] = tail_z
+        self.y[first + 1 : stop] = tail_y
         self.min_dist[first + 1 : stop] = tail_min
         self.valid = stop - 1
 

@@ -351,6 +351,23 @@ class TestConfigFile:
             assert code == 0
             assert out.startswith("{") is is_json
 
+    def test_json_switch_words_in_any_case(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        for word, is_json in (("TRUE", True), ("On", True), ("No", False), ("OFF", False)):
+            config.write_text(f"json = {word}\n")
+            code, out, _ = run(capsys, "landmarks", "--m", "2", "--config", str(config))
+            assert code == 0
+            assert out.startswith("{") is is_json
+
+    @pytest.mark.parametrize("word", ["ture", "2"])
+    def test_json_switch_rejects_other_words(self, capsys, tmp_path, word):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"json = {word}\n")
+        code, out, err = run(capsys, "landmarks", "--m", "2", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert f"config key 'json' takes 1/true/yes/on or 0/false/no/off, got '{word}'" in err
+
     def test_other_subcommand_key_skipped(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("evals = 10\nsamples = 3\n")

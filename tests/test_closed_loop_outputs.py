@@ -111,10 +111,10 @@ STDOUT_GOLDEN = {
     "verify --pulse inf:pi2:0.6 --step 1e-3": "a57a63477e8c993842ad0dc9fb1d8cd9bcc7329f599f0987f7b11558b3a9d435",
     "verify --pulse 10:pi:0.5 --step 1e-3": "e730cee9b1bc90c59f6d3e7910bbc40be8dfceec11e00a318cfd042df94a45d8",
     "verify --pulse 0.6:pi2:0.005 --step 1e-3": "b8ae57cfd2230b994a6cc046da576bf934f2bcfe81692b34ddbabe8f533ed500",
-    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3": "b337d0fe2c9a21794c17f30c14a64277701f0618929db4f6b813637cadbd9bcb",
-    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3 --json": "11b3c56af19801ff699517c1974390816547cf1b0c970690282f39e33ffd1ad6",
-    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3": "90b312ae67e939b55f75bce6e3fd9e61c10d52337205ccf211209c72f1c84349",
-    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3 --json": "d761f12bf5cd36ea24e4a3c389a813b7d8f1321ffe851f982d0901a926f3c562",
+    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3": "8f810c12ef4cb6ae09f7a388080001a536eb7b97e701602945cbb17b5617095d",
+    "oracle --m 2 --target pi --r-final 0.39 --grid 40 --evals 600 --seed 3 --json": "449d76950fb78c5ce2fe5b54fc1248124d3f2ead28641c5997c2d9274d934cf8",
+    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3": "3d7ff71a959c14c8cdc10d3ae13b57b7b45d48b25d4c9d230e5b0ae26812e8ca",
+    "oracle --m inf --target pi2 --r-final 0.6 --grid 40 --evals 600 --seed 3 --json": "19419f2062612571ef129ee13e731fd2458bb6aaed2199ba2db24cb2caba9456",
 }
 
 

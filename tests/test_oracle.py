@@ -23,9 +23,28 @@ class TestRollout:
             target_radius=0.1,
         )
         rollout.reset([m])
-        theta_end = rollout.theta[-1]
-        r_end = math.exp(rollout.log_r[-1])
-        assert r_end == pytest.approx(reachable_boundary(theta_end, m), abs=1e-6)
+        theta_end = math.atan2(rollout.y[-1], rollout.z[-1])
+        r_end = math.hypot(rollout.z[-1], rollout.y[-1])
+        assert r_end == pytest.approx(reachable_boundary(theta_end, m), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "u", [0.0, 0.3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 2.0, 50.0, 1e4]
+    )
+    def test_segment_end_independent_of_sub_steps(self, u):
+        # the sub-step propagator is exact, so the sub-step count only sets
+        # the chord sampling of the miss, not the end point
+        ends = []
+        for n_sub in (1, 64):
+            rollout = _Rollout(1, 0.03, n_sub, QUARTER, 0.6)
+            rollout.reset([u])
+            ends.append((rollout.z[-1], rollout.y[-1]))
+        (z1, y1), (z64, y64) = ends
+        assert math.hypot(z64 - z1, y64 - y1) <= 1e-12 * math.hypot(z1, y1)
+        if u == 0.0:
+            # no rotation: z is held and y decays at rate 1
+            z0, y0 = rollout.z[0], rollout.y[0]
+            assert z64 == pytest.approx(z0, rel=1e-12, abs=0.0)
+            assert y64 == pytest.approx(y0 * math.exp(-0.03), rel=1e-12, abs=0.0)
 
     def test_min_distance_monotone(self):
         rollout = _Rollout(1, 1.0, 32, QUARTER, 0.6)
@@ -54,8 +73,8 @@ class TestRollout:
         assert stopped == 4
         assert rollout.valid < 60
         rollout.probe(controls, 60, 0.0)
-        assert rollout.theta == full.theta
-        assert rollout.log_r == full.log_r
+        assert rollout.z == full.z
+        assert rollout.y == full.y
         assert rollout.min_dist == full.min_dist
 
 
