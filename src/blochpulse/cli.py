@@ -198,57 +198,48 @@ def _build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="blochpulse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--config", help="key=value file with flag defaults")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("synthesize", help="design a pulse program")
-    p.add_argument(
+    # flags shared by several subcommands, each declared once
+    bound, target, json_out = (_Parser(add_help=False) for _ in range(3))
+    bound.add_argument(
         "--m", type=_parse_bound, required=True, help="control bound (> 0.5) or 'inf'"
     )
-    p.add_argument("--target", required=True, choices=["pi", "pi2"])
-    p.add_argument("--r-final", dest="r_final", type=float, required=True)
-    p.add_argument("--out", help="write the program JSON here")
-    add_common(p)
-    p.set_defaults(func=cmd_synthesize)
+    target.add_argument("--target", required=True, choices=["pi", "pi2"])
+    target.add_argument("--r-final", dest="r_final", type=float, required=True)
+    json_out.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("simulate", help="closed-loop run of a saved program")
+    def add(name: str, func, parents: list, summary: str) -> _Parser:
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.add_argument("--config", help="key=value file with flag defaults")
+        p.set_defaults(func=func)
+        return p
+
+    p = add("synthesize", cmd_synthesize, [bound, target, json_out], "design a pulse program")
+    p.add_argument("--out", help="write the program JSON here")
+
+    p = add("simulate", cmd_simulate, [], "closed-loop run of a saved program")
     p.add_argument("--pulse", required=True, help="program JSON file")
     p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--csv", help="write the trajectory CSV here")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("curves", help="export the switching geometry")
-    p.add_argument("--m", type=_parse_bound, required=True)
+    p = add("curves", cmd_curves, [bound], "export the switching geometry")
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--csv", help="write here instead of stdout")
-    add_common(p)
-    p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("landmarks", help="named radii/angles for a bound")
-    p.add_argument("--m", type=_parse_bound, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_landmarks)
+    add("landmarks", cmd_landmarks, [bound, json_out], "named radii/angles for a bound")
 
-    p = sub.add_parser("verify", help="stationarity checks on a saved program")
+    p = add("verify", cmd_verify, [json_out], "stationarity checks on a saved program")
     p.add_argument("--pulse", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--adjoint-tol", dest="adjoint_tol", type=float, default=1e-4)
     p.add_argument("--step", type=float, default=1e-4)
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="transcription search for cheaper controls")
-    p.add_argument("--m", type=_parse_bound, required=True)
-    p.add_argument("--target", required=True, choices=["pi", "pi2"])
-    p.add_argument("--r-final", dest="r_final", type=float, required=True)
+    p = add(
+        "oracle", cmd_oracle, [bound, target, json_out], "transcription search for cheaper controls"
+    )
     p.add_argument("--grid", type=int, default=200, help="number of control segments")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--evals", type=int, default=50_000)
     p.add_argument("--restarts", type=int, default=2)
-    add_common(p)
-    p.set_defaults(func=cmd_oracle)
 
     return parser, sub.choices
 

@@ -21,6 +21,10 @@ relax to zero control on their own, since they only add energy.
 Half-turn targets are approached asymptotically, so the search aims at the
 angle pi - 1e-3 with the radius mapped through the program's final smooth
 arc; the mapped target is declared in the result.
+
+Controls range over [0, min(m, 2 sqrt(1 + kappa^2))] at every bound: the
+optimum is the smooth law clipped at m, and the smooth law never exceeds
+sqrt(1 + kappa^2); restarts, step sizes and the stop test scale with it.
 """
 
 from __future__ import annotations
@@ -215,8 +219,9 @@ def oracle_transcription(
     Coordinate descent with a shrinking step and multiplicative penalty
     continuation, warm-started from the synthesized control plus
     ``restarts`` seeded random starts.  Deterministic for a fixed seed.
-    Raises DidNotConverge when no evaluated control comes within 1e-3 of
-    the target.
+    ``m`` is read only when ``program`` is None, to synthesize it; the
+    control range comes from the program.  Raises DidNotConverge when no
+    evaluated control comes within 1e-3 of the target.
     """
     if n_segments < 20:
         raise ValueError(f"need at least 20 segments, got {n_segments}")
@@ -237,9 +242,9 @@ def oracle_transcription(
     horizon = 3.0 * _program_time(*clock, progress_angle)
     run_end = _program_time(*clock, program.target.theta - _EPS_STOP)
 
-    # sqrt(1 + kappa^2) is the smooth law's maximum, at cos^2 = 1 / (2 + kappa^2)
+    # the smooth law peaks at sqrt(1 + kappa^2), where cos^2 = 1 / (2 + kappa^2)
     kappa = program.kappa
-    bound = m if math.isfinite(m) else max(1.0, 2.0 * math.sqrt(1.0 + kappa * kappa))
+    bound = min(program.m, 2.0 * math.sqrt(1.0 + kappa * kappa))
     seg_dt = horizon / n_segments
     n_sub = max(1, math.ceil(seg_dt / 0.03))
     rollout = _Rollout(n_segments, seg_dt, n_sub, target_theta, target_radius)

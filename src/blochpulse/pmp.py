@@ -9,11 +9,15 @@ Three independent signals certify a synthesized pulse:
   finite differences along the integrated trajectory;
 * strictly inside a saturated arc the costate must exceed the bound, which
   is what makes the clipped control the pointwise maximizer; its margin is
-  closed-form, so the arc's two ends decide its sign.
+  closed-form, so the arc's two ends decide its sign.  On a smooth arc the
+  costate must stay within the bound, to a relative 2e-3 that covers a
+  12-digit program file; the smooth law's peak angle, clamped into the
+  arc, decides it.
 
 The checks accept any object exposing ``control(theta)``,
 ``costate(theta)``, ``lambda_a`` and ``theta_domain`` - in particular a
-``PulseProgram`` - and read ``segments`` and ``m`` when present.  The
+``PulseProgram`` - and read ``segments`` and ``m`` when present.
+``check_adjoint`` without a trajectory also calls ``program.simulate``.  The
 switching angles are read from ``segments`` only: each arc after the first
 starts at one.  Per-arc closed forms live in ``unbounded`` (smooth) and
 ``bounded`` (saturated).
@@ -21,6 +25,7 @@ starts at one.  Per-arc closed forms live in ``unbounded`` (smooth) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +44,9 @@ __all__ = [
 ]
 
 _EXCLUSION_STEPS = 10  # check_adjoint's skipped samples around each switch
+# a 12-digit round trip puts a valid smooth arc up to 3.1e-4 above m (a theta2
+# about 1e-8 below pi); a theta1 moved 0.01 late puts it 1.2e-2 above
+_SMOOTH_ARC_RTOL = 2e-3
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,23 @@ def check_adjoint(
     return AdjointCheck(max_residual=float(residual[keep].max()), tol=tol, step=step)
 
 
+def _smooth_arc_excess(program) -> float:
+    """Largest relative excess of the costate over the bound on the smooth
+    arcs; -1 for an unlimited program or one without ``segments``.
+
+    There the costate is the smooth law, which rises up to its peak angle
+    arccos(1 / sqrt(2 + kappa^2)) and falls after it, so each arc's largest
+    value is at that angle clamped into the arc.
+    """
+    peak = math.acos(1.0 / math.sqrt(2.0 + 2.0 * program.lambda_a))
+    values = [
+        program.costate(min(max(peak, seg.theta_lo), seg.theta_hi))
+        for seg in getattr(program, "segments", ())
+        if seg.kind == "smooth"
+    ]
+    return max(values, default=0.0) / getattr(program, "m", math.inf) - 1.0
+
+
 def saturation_excess(program) -> Optional[float]:
     """Smaller costate margin over the bound at the saturated arc's ends,
     each inset by 1e-6 of the arc, or None without a saturated arc.
@@ -206,7 +231,8 @@ def verify_program(
     return VerificationReport(
         max_abs_h=ham.max_abs_h,
         adjoint_residual=adj.max_residual,
-        lambda_excess_ok=excess is None or excess > 0.0,
+        lambda_excess_ok=(excess is None or excess > 0.0)
+        and _smooth_arc_excess(program) <= _SMOOTH_ARC_RTOL,
         h_tol=h_tol,
         adjoint_tol=adjoint_tol,
     )

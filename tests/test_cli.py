@@ -15,6 +15,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refit(program, theta1):
+    """``program``'s one-switch document with the entry angle ``theta1`` and
+    kappa refit, so that it still meets its radius and energy."""
+    lo, hi = 0.5 * program.kappa, 2.0 * program.kappa
+    for _ in range(100):  # bisection: the final radius grows with kappa
+        kappa = 0.5 * (lo + hi)
+        refit = _program(program.m, program.target, Regime.ONE_SWITCH, kappa, theta1)
+        if refit.radius_at(QUARTER) > program.target.r:
+            hi = kappa
+        else:
+            lo = kappa
+    return refit
+
+
 class TestSynthesizeCommand:
     def test_two_switch_reference(self, capsys, tmp_path):
         out_path = tmp_path / "ex1.json"
@@ -254,23 +268,25 @@ class TestVerifyCommand:
         assert raw["oracle"] is None
 
     def test_corrupted_program_fails(self, capsys, tmp_path, example2):
-        # an entry angle moved earlier, with kappa refit so that the document
-        # still meets its radius and energy, saturates where the costate is
-        # below the bound
-        theta1 = example2.theta1 - 1e-2
-        lo, hi = 0.5 * example2.kappa, 2.0 * example2.kappa
-        for _ in range(100):  # bisection: the final radius grows with kappa
-            kappa = 0.5 * (lo + hi)
-            broken = _program(2.0, example2.target, Regime.ONE_SWITCH, kappa, theta1)
-            if broken.radius_at(QUARTER) > example2.target.r:
-                hi = kappa
-            else:
-                lo = kappa
+        # an entry angle moved earlier saturates where the costate is below
+        # the bound
         pulse = tmp_path / "broken.json"
-        broken.save(pulse)
+        _refit(example2, example2.theta1 - 1e-2).save(pulse)
         code, out, _ = run(capsys, "verify", "--pulse", str(pulse), "--step", "1e-3")
         assert code == 3
         assert "costate exceeds bound inside saturation: False" in out
+
+    def test_late_entry_angle_fails(self, capsys, tmp_path, example2):
+        # an entry angle moved later leaves the smooth law above the bound
+        # before it, and claims less than the optimal energy
+        late = _refit(example2, example2.theta1 + 1e-2)
+        assert late.energy < example2.energy
+        pulse = tmp_path / "late.json"
+        late.save(pulse)
+        code, out, _ = run(capsys, "verify", "--pulse", str(pulse), "--step", "1e-3")
+        assert code == 3
+        assert "costate exceeds bound inside saturation: False" in out
+        assert "verdict: fail" in out
 
     def test_edited_kappa_exit_code(self, capsys, tmp_path, example2):
         raw = json.loads(example2.to_json())
@@ -306,6 +322,17 @@ class TestOracleCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("oracle did not converge:")
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate", "--pulse", "absent.json"], ["curves", "--m", "2"]]
+)
+def test_json_flag_only_where_it_has_an_effect(capsys, command):
+    # simulate and curves write text and CSV only
+    code, out, err = run(capsys, *command, "--json")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --json" in err
 
 
 @pytest.mark.parametrize(
@@ -374,6 +401,15 @@ class TestConfigFile:
         code, out, _ = run(capsys, "curves", "--m", "2", "--config", str(config))
         assert code == 0
         assert len(out.splitlines()) == 1 + 4 * 3
+
+    def test_json_key_skipped_by_simulate(self, capsys, tmp_path, example2):
+        pulse = tmp_path / "ex2.json"
+        example2.save(pulse)
+        config = tmp_path / "run.cfg"
+        config.write_text("json = 1\nstep = 1e-3\n")
+        code, out, _ = run(capsys, "simulate", "--pulse", str(pulse), "--config", str(config))
+        assert code == 0
+        assert out.startswith("final theta: ")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

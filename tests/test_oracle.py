@@ -139,6 +139,14 @@ class TestTranscriptionSearch:
         )
         assert result.endpoint_error <= 1e-3
 
+    @pytest.mark.parametrize("m", [1e4, 1e8])
+    def test_large_bound_search_stays_tight(self, m):
+        # the control range follows the program's law, not the loose bound
+        target = PulseTarget(0.5, QUARTER)
+        program = bounded.synthesize(m, target)
+        result = oracle_transcription(m, target, n_segments=40, evaluations=2000, seed=1)
+        assert result.best_energy == pytest.approx(program.energy, rel=0.05)
+
     def test_budget_too_small_raises(self, example2):
         with pytest.raises(DidNotConverge):
             oracle_transcription(

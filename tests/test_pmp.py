@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from blochpulse.bloch import PulseTarget
-from blochpulse.bounded import switching_angles, synthesize
+from blochpulse.bounded import PulseProgram, switching_angles, synthesize
 from blochpulse.pmp import (
+    _SMOOTH_ARC_RTOL,
+    _smooth_arc_excess,
     check_adjoint,
     check_hamiltonian,
     costate_along,
@@ -181,6 +183,32 @@ class TestSaturationExcess:
         assert program.theta1 < switching_angles(program.kappa, program.m)[0]
         assert saturation_excess(program) < 0.0
         assert not verify_program(program, step=1e-3).lambda_excess_ok
+
+
+class TestSmoothArcExcess:
+    @pytest.mark.parametrize(
+        "m, r",
+        [(100.0, 0.9844145700587216), (3.0, 0.5880013238966951), (1e5, 0.9999842921601012)],
+    )
+    def test_round_trip_keeps_headroom(self, m, r):
+        # half turns next to the reach limit: the 12-digit theta2 sits about
+        # 1e-8 below pi, where the costate is most sensitive to its rounding
+        program = PulseProgram.from_json(synthesize(m, PulseTarget(r, math.pi)).to_json())
+        assert _smooth_arc_excess(program) < _SMOOTH_ARC_RTOL / 5.0
+
+    def test_late_entry_angle_exceeds_bound(self):
+        # (2, 0.61, pi/2) with theta1 moved 0.01 later and kappa refit: it
+        # loads, and claims less than the optimal 1.6085055054
+        program = PulseProgram.from_json(
+            '{"m": 2, "target": {"r": 0.61, "theta": "pi/2"}, "regime": "one", '
+            '"kappa": 2.53151812259, "theta1": 0.622364871182, "theta2": null, '
+            '"energy": 1.60850489153}'
+        )
+        assert _smooth_arc_excess(program) > 5.0 * _SMOOTH_ARC_RTOL
+        assert not verify_program(program, step=1e-3).lambda_excess_ok
+
+    def test_unlimited_program(self, unbounded_quarter):
+        assert _smooth_arc_excess(unbounded_quarter) == -1.0
 
 
 class TestVerificationReport:
