@@ -17,6 +17,10 @@ scalar control u reduces to
 This module holds the coordinate transforms, both right-hand sides, a
 fixed-step 4th-order integrator for feedback-closed dynamics, and the
 angle-domain energy quadrature E = integral of u^2 / (2 thetadot) dtheta.
+The integrator takes sin and cos of each stage angle once and evaluates
+the law once per stage, a program's clipped law (``_ClippedLaw``) inline
+from its constants.  It records the costate and H of each sample in the
+same loop, from the same values.
 """
 
 from __future__ import annotations
@@ -278,6 +282,39 @@ def control_hamiltonian(u: float, theta: float, lambda_theta: float, lambda_a: f
     return -0.5 * u * u + lambda_theta * (u - s * math.cos(theta)) - lambda_a * s * s
 
 
+class _ClippedLaw:
+    """A program's feedback law: the smooth law
+    sin(theta) (cos(theta) + sqrt(cos^2(theta) + kappa^2)), clipped to the
+    bound m on the closed saturated interval [lo, hi].
+
+    Calling it gives the control, and ``costate`` the angle costate.
+    ``integrate_feedback`` reads its constants and evaluates both inline.
+    """
+
+    def __init__(self, kappa: float, m: float, saturated: Optional[tuple[float, float]]):
+        self.k2 = kappa * kappa
+        self.m = m
+        # an empty interval when the program never saturates
+        self.lo, self.hi = saturated or (math.inf, -math.inf)
+
+    def __call__(self, theta: float) -> float:
+        if self.lo <= theta <= self.hi:
+            return self.m
+        c = math.cos(theta)
+        return math.sin(theta) * (c + math.sqrt(c * c + self.k2))
+
+    def costate(self, theta: float) -> float:
+        """Equals the control on smooth arcs and exceeds m strictly inside
+        the saturated arc."""
+        if self.lo <= theta <= self.hi:
+            return self._saturated_costate(math.sin(theta), math.cos(theta))
+        return self(theta)
+
+    def _saturated_costate(self, s: float, c: float) -> float:
+        m = self.m
+        return (m * m + self.k2 * s * s) / (2.0 * (m - s * c))
+
+
 def integrate_feedback(
     u_of_theta: Callable[[float], float],
     start: PolarState,
@@ -292,11 +329,17 @@ def integrate_feedback(
     run terminates on the event theta >= theta_stop - 1e-6 (half-turn
     transfers reach pi only asymptotically); the final step is shortened
     by bisection, until it can no longer shrink, so the last sample lands
-    on the event angle instead of overshooting it.  The control recorded
-    at a sample is the step's first stage (k1), so the law is evaluated
-    four times per step; ``lambda_theta`` and ``hamiltonian`` are filled
-    after the loop from ``costate`` and ``lambda_a``, and are NaN without
-    them.
+    on the event angle instead of overshooting it.
+
+    Each stage takes sin and cos of its angle once and evaluates the law
+    once; the rates of theta, a and energy all come from those values.  A
+    program's law (a ``PulseProgram``'s) is evaluated inline from its
+    constants, any other callable is called.  The control recorded at a
+    sample is the step's first stage.  ``lambda_theta`` and
+    ``hamiltonian`` are recorded in the loop from the same values:
+    ``lambda_theta`` from ``costate`` (a program's own costate inline), and
+    ``hamiltonian`` as ``control_hamiltonian`` computes it; they are NaN
+    without ``costate``, and ``hamiltonian`` also without ``lambda_a``.
 
     Raises StallDetected if the closed-loop angle rate is not positive (or
     is NaN) at any recorded sample before the stop angle, and StepTooLarge
@@ -310,25 +353,41 @@ def integrate_feedback(
         raise StepTooLarge(f"step must be finite and positive, got {step.h}")
 
     goal = theta_stop - _EPS_STOP
-    sin, cos = math.sin, math.cos
+    sin, cos, sqrt, nan = math.sin, math.cos, math.sqrt, math.nan
+
+    clipped = u_of_theta if isinstance(u_of_theta, _ClippedLaw) else None
+    if clipped is None:
+        law, k2, m, sat_lo, sat_hi = u_of_theta, 0.0, 0.0, math.inf, -math.inf
+    else:
+        law, k2, m, sat_lo, sat_hi = None, clipped.k2, clipped.m, clipped.lo, clipped.hi
+    own_costate = clipped is not None and costate == clipped.costate
+    record_h = costate is not None and lambda_a is not None
+
+    def control(x: float, s: float, c: float) -> float:
+        # the law at angle x, from sin(x) and cos(x)
+        if law is not None:
+            return law(x)
+        if sat_lo <= x <= sat_hi:
+            return m
+        return s * (c + sqrt(c * c + k2))
 
     def advance(th: float, aa: float, en: float, h: float, k1: tuple) -> tuple[float, float, float]:
         # one 4th-order step of (theta, a, energy) from its first stage k1
         k1t, k1a, k1e = k1
-        th2 = th + 0.5 * h * k1t
-        u2 = u_of_theta(th2)
-        s2 = sin(th2)
-        k2t, k2a, k2e = u2 - s2 * cos(th2), -s2 * s2, 0.5 * u2 * u2
+        x = th + 0.5 * h * k1t
+        s, c = sin(x), cos(x)
+        u = control(x, s, c)
+        k2t, k2a, k2e = u - s * c, -s * s, 0.5 * u * u
 
-        th3 = th + 0.5 * h * k2t
-        u3 = u_of_theta(th3)
-        s3 = sin(th3)
-        k3t, k3a, k3e = u3 - s3 * cos(th3), -s3 * s3, 0.5 * u3 * u3
+        x = th + 0.5 * h * k2t
+        s, c = sin(x), cos(x)
+        u = control(x, s, c)
+        k3t, k3a, k3e = u - s * c, -s * s, 0.5 * u * u
 
-        th4 = th + h * k3t
-        u4 = u_of_theta(th4)
-        s4 = sin(th4)
-        k4t, k4a, k4e = u4 - s4 * cos(th4), -s4 * s4, 0.5 * u4 * u4
+        x = th + h * k3t
+        s, c = sin(x), cos(x)
+        u = control(x, s, c)
+        k4t, k4a, k4e = u - s * c, -s * s, 0.5 * u * u
 
         sixth = h / 6.0
         return (
@@ -337,22 +396,29 @@ def integrate_feedback(
             en + sixth * (k1e + 2.0 * k2e + 2.0 * k3e + k4e),
         )
 
-    ts, thetas, avals, us, ens = [], [], [], [], []
+    ts, thetas, avals, us, lams, hams, ens = [], [], [], [], [], [], []
 
     h = step.h
     t, th, aa, en = 0.0, start.theta, start.a, 0.0
     for _ in range(_MAX_STEPS):
-        u = u_of_theta(th)
+        s, c = sin(th), cos(th)
+        u = control(th, s, c)
+        k1 = u - s * c, -s * s, 0.5 * u * u
+        if own_costate:
+            lam = clipped._saturated_costate(s, c) if sat_lo <= th <= sat_hi else u
+        else:
+            lam = nan if costate is None else costate(th)
         ts.append(t)
         thetas.append(th)
         avals.append(aa)
         us.append(u)
+        lams.append(lam)
+        # control_hamiltonian's operations in its order, so H is bit-identical
+        hams.append(-0.5 * u * u + lam * k1[0] - lambda_a * s * s if record_h else nan)
         ens.append(en)
 
         if th >= goal:
             break
-        s = sin(th)
-        k1 = u - s * cos(th), -s * s, 0.5 * u * u
         if not k1[0] > 0.0:
             raise StallDetected(
                 f"closed-loop angle rate is not positive at theta={th:.9g}"
@@ -386,14 +452,6 @@ def integrate_feedback(
             f"exceeded {_MAX_STEPS} steps before reaching theta={theta_stop}"
         )
 
-    nans = [math.nan] * len(ts)
-    lams = nans if costate is None else [costate(th) for th in thetas]
-    hams = nans
-    if costate is not None and lambda_a is not None:
-        hams = [
-            control_hamiltonian(u, th, lam, lambda_a)
-            for u, th, lam in zip(us, thetas, lams)
-        ]
     return Trajectory(
         t=np.asarray(ts),
         theta=np.asarray(thetas),

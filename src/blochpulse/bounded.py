@@ -38,6 +38,7 @@ from .bloch import (
     PulseTarget,
     StepControl,
     Trajectory,
+    _ClippedLaw,
     _EPS_STOP,
     _HALF_PI,
     _json,
@@ -471,39 +472,19 @@ class PulseProgram:
         return tuple(pieces)
 
     @cached_property
-    def _law(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """The feedback law compiled once into plain (control, costate)
-        closures over (kappa^2, m, theta1, theta2); kappa is checked here."""
+    def _law(self) -> _ClippedLaw:
+        """The feedback law, built once from (kappa^2, m, saturated
+        interval); kappa is checked here."""
         unbounded._check_kappa(self.kappa)
-        k2, m = self.kappa * self.kappa, self.m
-        lo, hi = self._saturated_interval() or (math.inf, -math.inf)
-        sin, cos, sqrt = math.sin, math.cos, math.sqrt
-
-        def control(theta: float) -> float:
-            if lo <= theta <= hi:
-                return m
-            c = cos(theta)
-            return sin(theta) * (c + sqrt(c * c + k2))
-
-        def costate(theta: float) -> float:
-            if lo <= theta <= hi:
-                s = sin(theta)
-                return (m * m + k2 * s * s) / (2.0 * (m - s * cos(theta)))
-            return control(theta)
-
-        return control, costate
-
-    def __getstate__(self) -> dict:
-        # the compiled law's closures do not pickle; it is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_law"}
+        return _ClippedLaw(self.kappa, self.m, self._saturated_interval())
 
     def control(self, theta: float) -> float:
-        return self._law[0](theta)
+        return self._law(theta)
 
     def costate(self, theta: float) -> float:
         """Angle costate along the program; equals the control on smooth
         arcs and exceeds the bound strictly inside the saturated arc."""
-        return self._law[1](theta)
+        return self._law.costate(theta)
 
     def radius_at(self, theta: float) -> float:
         """Angle-parameterized closed-form radius along the program."""
@@ -515,7 +496,7 @@ class PulseProgram:
         Raises StepTooLarge before the run when the closed-form clock puts
         the stop angle more than _MAX_STEPS steps away.
         """
-        control, costate = self._law
+        law = self._law
         stop = self.target.theta - _EPS_STOP
         if self.kappa > 0.0:  # kappa = 0 has no closed-form clock; the run's cap applies
             duration = _program_time(self.m, self.kappa, self._saturated_interval(), stop)
@@ -525,11 +506,11 @@ class PulseProgram:
                     f"reach theta={stop:.9g}, more than {_MAX_STEPS}"
                 )
         return integrate_feedback(
-            control,
+            law,
             PolarState(a=0.0, theta=THETA_START),
             self.target.theta,
             step=step,
-            costate=costate,
+            costate=law.costate,
             lambda_a=self.lambda_a,
         )
 

@@ -18,7 +18,12 @@ class StallDetected(BlochControlError):
 
 
 class StepTooLarge(BlochControlError):
-    """Time failed to advance monotonically during integration."""
+    """The integration step does not fit the run.
+
+    Raised when time fails to advance, when a run would take more than the
+    integrator's step cap, and when the adjoint check's run at this step
+    has too few samples left outside its exclusion windows.
+    """
 
 
 class NonpositiveThetaDot(BlochControlError):

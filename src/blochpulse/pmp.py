@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bloch import StepControl, Trajectory, _json, control_hamiltonian
+from .errors import StepTooLarge
 
 __all__ = [
     "CostateSample",
@@ -130,7 +131,8 @@ def check_adjoint(
     grid steps of a switching angle (the start of every segment after the
     first) are skipped, since the costate's curvature jumps with the
     control there; the last 10 samples, around the shortened final step,
-    are skipped for the same reason.
+    are skipped for the same reason.  Raises StepTooLarge when the skipped
+    samples leave none to check.
     """
     if trajectory is None:
         trajectory = program.simulate(StepControl(h=step))
@@ -154,7 +156,10 @@ def check_adjoint(
         hi = min(idx + _EXCLUSION_STEPS, len(residual))
         keep[lo:hi] = False
     if not keep.any():
-        raise ValueError("exclusion windows removed every sample")
+        raise StepTooLarge(
+            f"step {step:g} leaves {len(theta)} samples, too few for the adjoint "
+            f"check once {_EXCLUSION_STEPS} samples around each switch and the end are skipped"
+        )
     return AdjointCheck(max_residual=float(residual[keep].max()), tol=tol, step=step)
 
 

@@ -298,6 +298,17 @@ class TestVerifyCommand:
         assert out == ""
         assert "kappa" in err
 
+    def test_too_few_samples_exit_code(self, capsys, tmp_path):
+        # the default-step run of this program is too short for the adjoint check
+        pulse = tmp_path / "near_limit.json"
+        r = (1.0 - 1e-6) * landmarks(1e4).r_d1
+        assert run(capsys, "synthesize", "--m", "1e4", "--target", "pi2",
+                   "--r-final", repr(r), "--out", str(pulse))[0] == 0
+        code, out, err = run(capsys, "verify", "--pulse", str(pulse))
+        assert code == 1
+        assert out == ""
+        assert "step 0.0001" in err
+
 
 class TestOracleCommand:
     def test_small_search(self, capsys):

@@ -6,7 +6,10 @@ significant digits.  These SHA-256 digests pin the saved program, the
 three acceptance examples and the unlimited quarter turn, at a 1e-3 step so
 the whole module runs in about a second.
 
-A second table pins the stdout of the other commands that print numbers:
+A second table pins the ``simulate --csv`` file at the default 1e-4 step,
+the one the benchmark runs, for two of those programs.
+
+A third table pins the stdout of the other commands that print numbers:
 ``landmarks`` and ``curves`` over six bounds, ``synthesize`` and ``verify``
 for the six benchmark programs, and two small seeded ``oracle`` searches.
 """
@@ -70,6 +73,23 @@ def test_closed_loop_outputs_are_byte_identical(case, capsys, tmp_path):
         _sha(pulse.read_bytes()), _sha(csv.read_bytes()), _sha(simulated), _sha(verified)
     )
     assert digests == GOLDEN[case]
+
+
+# (m flag, target, r) -> simulate CSV at the default step
+DEFAULT_STEP_CSV = {
+    ("2", "pi2", "0.61"): "ae560b0be851893b215c27005e7c3ca5cc3435efd772558db0a6d6b5bdc5d0fd",
+    ("inf", "pi2", "0.6"): "8e1d890047583420be8c6d672aead6c27560d1c88e0b672cb1faf388ac99fadd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULT_STEP_CSV), ids="-".join)
+def test_default_step_csv_is_byte_identical(case, capsys, tmp_path):
+    m, target, r = case
+    pulse, csv = tmp_path / "pulse.json", tmp_path / "run.csv"
+    _stdout(capsys, "synthesize", "--m", m, "--target", target, "--r-final", r,
+            "--out", str(pulse))
+    _stdout(capsys, "simulate", "--pulse", str(pulse), "--csv", str(csv))
+    assert _sha(csv.read_bytes()) == DEFAULT_STEP_CSV[case]
 
 
 # command line -> SHA-256 of its stdout.  "--pulse m:target:r" names the

@@ -1,5 +1,6 @@
-"""The compiled feedback law, the block CSV writer and the adjoint check's
-costate source, each against the per-call reference it replaces."""
+"""The program's feedback law, the integrator's inline evaluation of it,
+the block CSV writer and the adjoint check's costate source, each against
+the per-call reference it replaces."""
 
 import dataclasses
 import math
@@ -109,6 +110,26 @@ class TestCompiledLaw:
                 bad.costate(theta)
         with pytest.raises(ValueError):
             bad.simulate(StepControl(h=1e-3))
+
+
+@pytest.mark.parametrize("case", PROGRAMS + ((0.6, 0.005, QUARTER),))
+def test_inline_law_matches_the_generic_path(case):
+    # simulate evaluates the program's law and costate inline; the generic
+    # path calls them at every stage and sample
+    m, r, theta = case
+    program = synthesize(m, PulseTarget(r, theta))
+    step = StepControl(h=1e-3)
+    inline = program.simulate(step)
+    generic = integrate_feedback(
+        lambda th: program.control(th),
+        PolarState(0.0, THETA_START),
+        program.target.theta,
+        step,
+        costate=lambda th: program.costate(th),
+        lambda_a=program.lambda_a,
+    )
+    for field in dataclasses.fields(Trajectory):
+        assert getattr(inline, field.name).tobytes() == getattr(generic, field.name).tobytes()
 
 
 def test_one_law_evaluation_per_stage():

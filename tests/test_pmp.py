@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from blochpulse.bloch import PulseTarget
-from blochpulse.bounded import PulseProgram, switching_angles, synthesize
+from blochpulse.bounded import PulseProgram, landmarks, switching_angles, synthesize
+from blochpulse.errors import StepTooLarge
 from blochpulse.pmp import (
     _SMOOTH_ARC_RTOL,
     _smooth_arc_excess,
@@ -167,6 +168,14 @@ class TestAdjointCheck:
         check = check_adjoint(_DriftingCostate(), step=1e-3)
         assert not check.passed
         assert check.max_residual > 0.1
+
+    def test_too_few_samples_is_a_step_error(self):
+        # next to the quarter-turn reach limit at m = 1e4 the default-step
+        # run has 8 samples, all inside the exclusion windows
+        r = (1.0 - 1e-6) * landmarks(1e4).r_d1
+        program = synthesize(1e4, PulseTarget(r, QUARTER))
+        with pytest.raises(StepTooLarge, match="step 0.0001 leaves 8 samples"):
+            verify_program(program)
 
 
 class TestSaturationExcess:
